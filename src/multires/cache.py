@@ -110,6 +110,8 @@ def read_cache(path: str | Path) -> FeatureCache:
         for i in range(n):
             (id_len,) = struct.unpack_from("<H", buf, off)
             off += 2
+            if off + id_len + 1 > len(buf):
+                raise ValueError(f"utterance {i} ends inside its id or label")
             ids.append(buf[off : off + id_len].decode("utf-8"))
             off += id_len
             labels[i] = buf[off]

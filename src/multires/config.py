@@ -105,8 +105,6 @@ _DEFAULTS: dict[str, str] = {
     "backend.blocks_per_stage": "2",
     "backend.se_reduction": "4",
     "backend.n_classes": "2",
-    "tdcf.c_miss_cm": "1.0",
-    "tdcf.c_fa_cm": "1.0",
     "tdcf.c1": "1.0",
     "tdcf.c2": "1.0",
     "weights.split": "dev",
@@ -137,42 +135,37 @@ def _assemble(v: dict[str, str], source: str) -> AppConfig:
         try:
             return fn(v[key])
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{source}: bad value for {key}: {exc}") from None
+            raise ValueError(f"bad value for {key}: {exc}") from None
 
-    corpus = CorpusSpec(
-        n_train=conv("corpus.n_train", int),
-        n_dev=conv("corpus.n_dev", int),
-        n_eval=conv("corpus.n_eval", int),
-        duration_s=conv("corpus.duration_s", float),
-        sample_rate=conv("corpus.sample_rate", int),
-        spoof_synthesis=conv("corpus.spoof_synthesis", ResolutionSpec.parse),
-        seed=conv("corpus.seed", int),
-    )
-    train = TrainConfig(
-        epochs=conv("train.epochs", int),
-        batch_size=conv("train.batch_size", int),
-        seed=conv("train.seed", int),
-        peak_lr=conv("train.peak_lr", float),
-        warmup_steps=conv("train.warmup_steps", int),
-        weight_decay=conv("train.weight_decay", float),
-        target_duration_s=conv("train.target_duration_s", float),
-        recrop_each_epoch=conv("train.recrop_each_epoch", _parse_bool),
-        dtype=v["train.dtype"],
-    )
-    backend = BackendConfig(
-        stem_channels=conv("backend.stem_channels", int),
-        stages=conv("backend.stages", int),
-        blocks_per_stage=conv("backend.blocks_per_stage", int),
-        se_reduction=conv("backend.se_reduction", int),
-        n_classes=conv("backend.n_classes", int),
-    )
-    tdcf = TdcfParams(
-        c_miss_cm=conv("tdcf.c_miss_cm", float),
-        c_fa_cm=conv("tdcf.c_fa_cm", float),
-        c1=conv("tdcf.c1", float),
-        c2=conv("tdcf.c2", float),
-    )
     try:
+        corpus = CorpusSpec(
+            n_train=conv("corpus.n_train", int),
+            n_dev=conv("corpus.n_dev", int),
+            n_eval=conv("corpus.n_eval", int),
+            duration_s=conv("corpus.duration_s", float),
+            sample_rate=conv("corpus.sample_rate", int),
+            spoof_synthesis=conv("corpus.spoof_synthesis", ResolutionSpec.parse),
+            seed=conv("corpus.seed", int),
+        )
+        train = TrainConfig(
+            epochs=conv("train.epochs", int),
+            batch_size=conv("train.batch_size", int),
+            seed=conv("train.seed", int),
+            peak_lr=conv("train.peak_lr", float),
+            warmup_steps=conv("train.warmup_steps", int),
+            weight_decay=conv("train.weight_decay", float),
+            target_duration_s=conv("train.target_duration_s", float),
+            recrop_each_epoch=conv("train.recrop_each_epoch", _parse_bool),
+            dtype=v["train.dtype"],
+        )
+        backend = BackendConfig(
+            stem_channels=conv("backend.stem_channels", int),
+            stages=conv("backend.stages", int),
+            blocks_per_stage=conv("backend.blocks_per_stage", int),
+            se_reduction=conv("backend.se_reduction", int),
+            n_classes=conv("backend.n_classes", int),
+        )
+        tdcf = TdcfParams(c1=conv("tdcf.c1", float), c2=conv("tdcf.c2", float))
         return AppConfig(
             corpus=corpus,
             resolutions=conv("features.resolutions", _parse_resolutions),
@@ -218,8 +211,6 @@ def serialize_config(config: AppConfig) -> str:
         ("backend.blocks_per_stage", str(c.backend.blocks_per_stage)),
         ("backend.se_reduction", str(c.backend.se_reduction)),
         ("backend.n_classes", str(c.backend.n_classes)),
-        ("tdcf.c_miss_cm", repr(c.tdcf.c_miss_cm)),
-        ("tdcf.c_fa_cm", repr(c.tdcf.c_fa_cm)),
         ("tdcf.c1", repr(c.tdcf.c1)),
         ("tdcf.c2", repr(c.tdcf.c2)),
         ("weights.split", c.weights_split),

@@ -10,21 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .signal_io import ScoreRecord, format_score
+from .signal_io import format_score
 
 __all__ = [
-    "ScoreRecord",
     "TdcfParams",
     "DetPoint",
-    "det_points",
     "det_points_from_scores",
-    "eer",
     "eer_from_scores",
-    "min_tdcf",
     "min_tdcf_from_scores",
     "write_det_csv",
 ]
@@ -39,13 +35,11 @@ class TdcfParams:
     so they are injected with neutral defaults of 1.
     """
 
-    c_miss_cm: float = 1.0
-    c_fa_cm: float = 1.0
     c1: float = 1.0
     c2: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("c_miss_cm", "c_fa_cm", "c1", "c2"):
+        for name in ("c1", "c2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -101,24 +95,6 @@ def min_tdcf_from_scores(scores: np.ndarray, labels: np.ndarray, params: TdcfPar
     points = det_points_from_scores(scores, labels)
     floor = min(params.c1, params.c2)
     return min((params.c1 * pt.p_miss + params.c2 * pt.p_fa) / floor for pt in points)
-
-
-def _records_to_arrays(records: Sequence[ScoreRecord]) -> tuple[np.ndarray, np.ndarray]:
-    scores = np.array([r.score for r in records], dtype=np.float64)
-    labels = np.array([int(r.label) for r in records])
-    return scores, labels
-
-
-def det_points(records: Sequence[ScoreRecord]) -> list[DetPoint]:
-    return det_points_from_scores(*_records_to_arrays(records))
-
-
-def eer(records: Sequence[ScoreRecord]) -> float:
-    return eer_from_scores(*_records_to_arrays(records))
-
-
-def min_tdcf(records: Sequence[ScoreRecord], params: TdcfParams) -> float:
-    return min_tdcf_from_scores(*_records_to_arrays(records), params)
 
 
 def write_det_csv(points: Iterable[DetPoint], path: str | Path) -> None:

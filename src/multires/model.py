@@ -31,7 +31,7 @@ from .backend import (
 )
 from .excitation import ExcitationParams, ExciteCache, excite_backward, excite_forward
 from .stft import ResolutionSpec
-from .weighting import WeightPredictorParams, hidden_width, init_weight_predictor
+from .weighting import hidden_width, init_weight_predictor
 
 MAGIC = b"MRCK"
 VERSION = 1
@@ -45,7 +45,7 @@ class CheckpointFormatError(ValueError):
 class Model:
     resolutions: tuple[ResolutionSpec, ...]
     config: BackendConfig
-    predictor: WeightPredictorParams
+    predictor: ExcitationParams
     backend: BackendParams
 
     @property
@@ -61,7 +61,7 @@ class ModelCache:
 
 @dataclass
 class ModelGrads:
-    predictor: WeightPredictorParams
+    predictor: ExcitationParams
     backend: BackendParams
 
 
@@ -97,7 +97,7 @@ def model_backward(cache: ModelCache, d_logits: np.ndarray) -> tuple[np.ndarray,
     return d_stacks, ModelGrads(predictor_grads, backend_grads)
 
 
-def param_list(predictor: WeightPredictorParams, backend: BackendParams) -> list[np.ndarray]:
+def param_list(predictor: ExcitationParams, backend: BackendParams) -> list[np.ndarray]:
     """All parameter tensors in checkpoint traversal order (live references)."""
     out = [predictor.fc1_weight, predictor.fc1_bias, predictor.fc2_weight, predictor.fc2_bias]
     out += [backend.stem.weight, backend.stem.bias]
@@ -110,7 +110,7 @@ def param_list(predictor: WeightPredictorParams, backend: BackendParams) -> list
     return out
 
 
-def param_names(predictor: WeightPredictorParams, backend: BackendParams) -> list[str]:
+def param_names(predictor: ExcitationParams, backend: BackendParams) -> list[str]:
     """Human-readable names parallel to :func:`param_list` (for diagnostics)."""
     names = ["predictor.fc1_w", "predictor.fc1_b", "predictor.fc2_w", "predictor.fc2_b"]
     names += ["stem.w", "stem.b"]

@@ -211,16 +211,16 @@ def run_eval(config: AppConfig, ckpt: str | Path, split: str = "eval") -> EvalRe
     return report
 
 
-def mean_weights(config: AppConfig, ckpt: str | Path) -> tuple[Model, np.ndarray, FeatureCache]:
+def mean_weights(config: AppConfig, ckpt: str | Path) -> tuple[Model, np.ndarray]:
     model = _load_model(config, ckpt)
     effective = with_resolutions(config, model.resolutions)
     cache = load_split_cache(effective, config.weights_split)
-    return model, mean_weights_over_set(cache, model.predictor), cache
+    return model, mean_weights_over_set(cache, model.predictor)
 
 
 def weight_report(config: AppConfig, ckpt: str | Path) -> str:
     """`window<TAB>hop<TAB>mean_weight` lines, heaviest resolution first."""
-    model, weights, _ = mean_weights(config, ckpt)
+    model, weights = mean_weights(config, ckpt)
     order = np.argsort(-weights, kind="stable")
     lines = [
         f"{model.resolutions[i].window_len}\t{model.resolutions[i].hop_len}\t{weights[i]:.6f}"
@@ -233,7 +233,7 @@ def run_prune(
     config: AppConfig, ckpt: str | Path, progress=None
 ) -> tuple[PruneResult, TrainResult, Path]:
     """Full -> refined workflow: gap-prune on mean weights, re-extract, retrain."""
-    model, weights, _ = mean_weights(config, ckpt)
+    model, weights = mean_weights(config, ckpt)
     result = prune(weights, model.resolutions)
     config.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     (config.checkpoint_dir / "prune_report.txt").write_text(format_report(result), encoding="utf-8")

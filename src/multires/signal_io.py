@@ -15,7 +15,7 @@ Text formats (UTF-8, tab-separated, one record per line):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
 

@@ -10,7 +10,7 @@ identical seeds reproduce logs and checkpoints byte for byte.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,23 +62,11 @@ class TrainConfig:
         return np.dtype(DTYPES[self.dtype])
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Single-example softmax cross-entropy; returns loss and d_logits.
+def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean loss over a batch plus the gradient of that mean w.r.t. logits.
 
-    loss = -log softmax(logits)[label]; gradient = softmax(logits) - onehot.
     Log-sum-exp stabilized, so saturated logits neither overflow nor NaN.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    probs = np.exp(z - lse)
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return float(lse - z[label]), grad
-
-
-def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean loss over a batch plus the gradient of that mean w.r.t. logits."""
     z = np.asarray(logits, dtype=np.float64)
     n = z.shape[0]
     m = z.max(axis=1, keepdims=True)
@@ -167,7 +155,6 @@ class TrainResult:
     best_epoch: int
     best_dev_eer: float
     log_lines: list[str]
-    history: list[tuple[int, float, float]] = field(default_factory=list)
 
 
 def train(
@@ -205,7 +192,6 @@ def train(
     best_eer = np.inf
     best_model = None
     log_lines: list[str] = []
-    history: list[tuple[int, float, float]] = []
     for epoch in range(1, config.epochs + 1):
         if reload_train is not None and epoch >= 2:
             stacks = reload_train(epoch)
@@ -230,10 +216,9 @@ def train(
         log_lines.append(f"{epoch}\t{train_loss:.6f}\t{dev_eer:.6f}")
         if progress is not None:
             progress(log_lines[-1])
-        history.append((epoch, train_loss, dev_eer))
         if dev_eer < best_eer:
             best_eer = dev_eer
             best_epoch = epoch
             best_model = copy.deepcopy(model)
     log_lines.append(f"retained_epoch\t{best_epoch}")
-    return TrainResult(best_model, best_epoch, float(best_eer), log_lines, history)
+    return TrainResult(best_model, best_epoch, float(best_eer), log_lines)

@@ -1,31 +1,21 @@
-"""Learnable per-resolution weighting of the aligned feature stack.
+"""Per-resolution weight predictor: initialization and weight read-outs.
 
-Each channel is condensed to its global mean, a two-layer bottleneck
-regressor (shared kernel with the backend SE blocks, see
-:mod:`multires.excitation`) predicts one weight per resolution through a
-sigmoid, and the stack is scaled channel-wise by those weights.  The mean of
+The predictor is an SE-style bottleneck over the M resolutions of the
+aligned stack: each channel's global mean goes through FC -> ReLU -> FC ->
+sigmoid to give one weight per resolution.  The scaling itself is
+:func:`multires.excitation.excite_forward`, called from
+:func:`multires.model.model_forward`; this module builds the predictor's
+parameters and reads its weights out without scaling anything.  The mean of
 the predicted weights over a data split is the per-resolution importance
-summary consumed by pruning.
+summary consumed by pruning and ``inspect-weights``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .alignment import FeatureStack
 from .cache import FeatureCache
-from .excitation import (
-    ExcitationParams,
-    ExciteCache,
-    bottleneck_weights,
-    excite_backward,
-    excite_forward,
-    init_excitation,
-)
-
-# Same bottleneck parameterization as an SE block, applied at M = number of
-# resolutions instead of conv channels.
-WeightPredictorParams = ExcitationParams
+from .excitation import ExcitationParams, bottleneck_weights, init_excitation
 
 
 def hidden_width(n_resolutions: int) -> int:
@@ -35,48 +25,11 @@ def hidden_width(n_resolutions: int) -> int:
 
 def init_weight_predictor(
     n_resolutions: int, rng: np.random.Generator, dtype: np.dtype = np.float64
-) -> WeightPredictorParams:
+) -> ExcitationParams:
     return init_excitation(n_resolutions, hidden_width(n_resolutions), rng, dtype)
 
 
-def global_pool(stack: FeatureStack) -> np.ndarray:
-    """Mean over each channel's W x H entries -> vector of length M."""
-    return stack.data.mean(axis=(1, 2))
-
-
-def predict_weights(pooled: np.ndarray, params: WeightPredictorParams) -> np.ndarray:
-    """Sigmoid-bounded weights s in (0, 1)^M from pooled channel means."""
-    pooled = np.asarray(pooled)
-    if pooled.shape != (params.n_channels,):
-        raise ValueError(f"expected pooled vector of length {params.n_channels}, got shape {pooled.shape}")
-    scales, _, _ = bottleneck_weights(pooled[None, :], params)
-    return scales[0]
-
-
-def scale_stack(stack: FeatureStack, weights: np.ndarray) -> FeatureStack:
-    weights = np.asarray(weights)
-    if weights.shape != (stack.n_channels,):
-        raise ValueError(f"expected {stack.n_channels} weights, got shape {weights.shape}")
-    return FeatureStack(stack.data * weights[:, None, None], stack.resolutions)
-
-
-def forward(stack: FeatureStack, params: WeightPredictorParams) -> tuple[FeatureStack, ExciteCache]:
-    """Weighted stack plus the cache needed for :func:`backward`."""
-    y, cache = excite_forward(stack.data[None, ...], params)
-    return FeatureStack(y[0], stack.resolutions), cache
-
-
-def backward(cache: ExciteCache, upstream: np.ndarray) -> tuple[np.ndarray, WeightPredictorParams]:
-    """Exact gradients of the pool -> FCs -> sigmoid -> scale path.
-
-    ``upstream`` is the loss gradient w.r.t. the weighted stack (M, W, H);
-    returns the gradient w.r.t. the input stack and the parameter gradients.
-    """
-    dx, grads = excite_backward(cache, np.asarray(upstream)[None, ...])
-    return dx[0], grads
-
-
-def batch_weights(stacks: np.ndarray, params: WeightPredictorParams) -> np.ndarray:
+def batch_weights(stacks: np.ndarray, params: ExcitationParams) -> np.ndarray:
     """Predicted weights for a batch of stacks (N, M, W, H) -> (N, M)."""
     pooled = stacks.mean(axis=(2, 3), dtype=params.fc1_weight.dtype)
     scales, _, _ = bottleneck_weights(pooled, params)
@@ -84,7 +37,7 @@ def batch_weights(stacks: np.ndarray, params: WeightPredictorParams) -> np.ndarr
 
 
 def mean_weights_over_set(
-    cache: FeatureCache, params: WeightPredictorParams, batch_size: int = 64
+    cache: FeatureCache, params: ExcitationParams, batch_size: int = 64
 ) -> np.ndarray:
     """Arithmetic mean of per-utterance predicted weights over a cached split.
 

@@ -74,13 +74,16 @@ def test_unsupported_version_rejected(tmp_path):
 
 
 def test_truncation_rejected(tmp_path):
-    cache = _cache()
-    path = tmp_path / "t.mrfe"
-    write_cache(cache, path)
-    whole = path.read_bytes()
-    path.write_bytes(whole[: len(whole) - 7])
-    with pytest.raises(CacheFormatError, match="truncated|trailing"):
-        read_cache(path)
+    # every cut after the header, including cuts inside an id or a label
+    for cache in (_cache(), _cache(n=1, w=1, h=1)):
+        path = tmp_path / "t.mrfe"
+        write_cache(cache, path)
+        whole = path.read_bytes()
+        header = 8 + 8 * len(RES) + 12
+        for cut in range(header, len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(CacheFormatError, match="truncated|trailing"):
+                read_cache(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):

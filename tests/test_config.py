@@ -4,6 +4,7 @@ import pytest
 
 from multires.alignment import AlignMethod
 from multires.config import (
+    _DEFAULTS,
     DEFAULT_RESOLUTIONS,
     AppConfig,
     ConfigError,
@@ -67,6 +68,10 @@ def test_bad_value_names_key():
         parse_config("alignment.target = wide\n")
     with pytest.raises(ConfigError, match="alignment.method"):
         parse_config("alignment.method = bilinear\n")
+    # the source is named once, not once per wrapping
+    with pytest.raises(ConfigError) as info:
+        parse_config("features.resolutions = 12x\n", source="run.cfg")
+    assert str(info.value).startswith("run.cfg: bad value for features.resolutions")
 
 
 def test_semantic_validation():
@@ -76,6 +81,16 @@ def test_semantic_validation():
         parse_config("weights.split = test\n")
     with pytest.raises(ConfigError, match="non-empty"):
         parse_config("features.resolutions = ,\n")
+    # values each section's own validation rejects
+    for line, match in [
+        ("train.epochs = 0", "epochs"),
+        ("train.dtype = float16", "dtype"),
+        ("backend.se_reduction = 32", "se_reduction"),
+        ("tdcf.c1 = 0", "c1"),
+    ]:
+        with pytest.raises(ConfigError, match=match) as info:
+            parse_config(line + "\n", source="run.cfg")
+        assert str(info.value).startswith("run.cfg: ")
 
 
 def test_round_trip_stability():
@@ -92,6 +107,11 @@ def test_round_trip_stability():
 def test_round_trip_default_config():
     cfg = default_config()
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_serialize_emits_every_default_key_once_in_order():
+    lines = serialize_config(default_config()).splitlines()
+    assert [line.partition("=")[0] for line in lines] == list(_DEFAULTS)
 
 
 def test_save_and_load(tmp_path):

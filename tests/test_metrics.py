@@ -5,13 +5,11 @@ from multires.metrics import (
     DetPoint,
     TdcfParams,
     det_points_from_scores,
-    eer,
     eer_from_scores,
     min_tdcf_from_scores,
     summary_line,
     write_det_csv,
 )
-from multires.signal_io import Label, ScoreRecord
 
 from oracles import brute_eer, brute_min_tdcf, sweep_rates
 
@@ -111,14 +109,6 @@ def test_input_validation():
         eer_from_scores(np.array([np.nan, 1.0]), np.array([0, 1]))
     with pytest.raises(ValueError, match="bona fide"):
         eer_from_scores(np.array([1.0, 2.0]), np.array([0, 0]))
-
-
-def test_record_wrappers():
-    records = [
-        ScoreRecord("a", Label.SPOOF, -1.0),
-        ScoreRecord("b", Label.BONAFIDE, 1.0),
-    ]
-    assert eer(records) == 0.0
 
 
 def test_write_det_csv(tmp_path):

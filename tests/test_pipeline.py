@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from multires.pipeline import (
 )
 from multires.signal_io import read_scores
 from multires.stft import ResolutionSpec
+from multires.weighting import mean_weights_over_set
 
 
 def _config(tmp_path, **overrides):
@@ -211,7 +214,15 @@ def test_eval_missing_checkpoint(tmp_path):
 def test_mean_weights_split_selection(run_dir):
     tmp_path, config = run_dir
     _, ckpt = run_train(config)
-    model, weights, cache = mean_weights(config, ckpt)
+    model, weights = mean_weights(config, ckpt)
     assert weights.shape == (2,)
-    assert cache.n_utterances == 4  # weights.split defaults to dev
     assert ((weights > 0) & (weights < 1)).all()
+    # weights.split defaults to dev; setting it to train switches the split
+    per_split = {
+        split: mean_weights_over_set(load_split_cache(config, split), model.predictor)
+        for split in ("dev", "train")
+    }
+    np.testing.assert_array_equal(weights, per_split["dev"])
+    _, train_weights = mean_weights(dataclasses.replace(config, weights_split="train"), ckpt)
+    np.testing.assert_array_equal(train_weights, per_split["train"])
+    assert not np.array_equal(per_split["dev"], per_split["train"])

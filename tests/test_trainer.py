@@ -10,7 +10,6 @@ from multires.trainer import (
     TrainConfig,
     TrainingDivergedError,
     adam_step,
-    cross_entropy,
     cross_entropy_batch,
     init_optimizer,
     lr_at,
@@ -38,40 +37,57 @@ def _caches(n_train=16, n_dev=8, w=6, h=5, seed=0):
     return build(n_train, "t"), build(n_dev, "d")
 
 
+def _epoch_rows(result):
+    """(epoch, train_loss, dev_eer) parsed from the per-epoch log lines."""
+    rows = [line.split("\t") for line in result.log_lines[:-1]]
+    return [(int(epoch), float(loss), float(eer)) for epoch, loss, eer in rows]
+
+
+# cross_entropy_batch is checked at a single example and at a batch of five
+LABELS = {1: np.array([1]), 5: np.array([0, 1, 1, 0, 1])}
+
+
 def test_cross_entropy_hand_values():
-    loss, grad = cross_entropy(np.array([0.0, 0.0]), 1)
-    assert loss == pytest.approx(np.log(2.0))
-    np.testing.assert_allclose(grad, [0.5, -0.5], atol=1e-15)
+    for n, labels in LABELS.items():
+        loss, grad = cross_entropy_batch(np.zeros((n, 2)), labels)
+        assert loss == pytest.approx(np.log(2.0))
+        want = np.full((n, 2), 0.5 / n)
+        want[np.arange(n), labels] = -0.5 / n
+        np.testing.assert_allclose(grad, want, atol=1e-15)
 
 
 def test_cross_entropy_stable_at_extreme_logits():
-    loss, grad = cross_entropy(np.array([1000.0, -1000.0]), 0)
-    assert loss == 0.0
-    np.testing.assert_allclose(grad, [0.0, 0.0], atol=1e-15)
-    loss, _ = cross_entropy(np.array([1000.0, -1000.0]), 1)
-    assert loss == pytest.approx(2000.0)
+    for n in LABELS:
+        logits = np.tile([1000.0, -1000.0], (n, 1))
+        loss, grad = cross_entropy_batch(logits, np.zeros(n, dtype=np.int64))
+        assert loss == 0.0
+        np.testing.assert_allclose(grad, np.zeros((n, 2)), atol=1e-15)
+        loss, grad = cross_entropy_batch(logits, np.ones(n, dtype=np.int64))
+        assert loss == pytest.approx(2000.0)
+        assert np.isfinite(grad).all()
 
 
 def test_cross_entropy_gradient_finite_differences():
     rng = np.random.default_rng(0)
-    z = rng.standard_normal(2)
+    for n, labels in LABELS.items():
+        z = rng.standard_normal((n, 2))
 
-    def loss():
-        return cross_entropy(z, 1)[0]
+        def loss():
+            return cross_entropy_batch(z, labels)[0]
 
-    _, grad = cross_entropy(z, 1)
-    num = central_difference(loss, [z])[0]
-    np.testing.assert_allclose(grad, num, rtol=1e-7, atol=1e-9)
+        _, grad = cross_entropy_batch(z, labels)
+        num = central_difference(loss, [z])[0]
+        np.testing.assert_allclose(grad, num, rtol=1e-7, atol=1e-9)
 
 
 def test_cross_entropy_batch_averages_singles():
+    # the batch loss is the mean of naive per-example losses logsumexp(z) - z[label]
     rng = np.random.default_rng(1)
-    logits = rng.standard_normal((5, 2))
-    labels = np.array([0, 1, 1, 0, 1])
-    loss, grad = cross_entropy_batch(logits.copy(), labels)
-    singles = [cross_entropy(logits[i], labels[i]) for i in range(5)]
-    assert loss == pytest.approx(np.mean([s[0] for s in singles]), abs=1e-12)
-    np.testing.assert_allclose(grad, np.stack([s[1] for s in singles]) / 5, atol=1e-12)
+    for n, labels in LABELS.items():
+        logits = rng.standard_normal((n, 2))
+        naive = np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(n), labels]
+        loss, _ = cross_entropy_batch(logits.copy(), labels)
+        assert loss == pytest.approx(naive.mean(), abs=1e-12)
 
 
 def test_lr_schedule_anchor_points():
@@ -130,11 +146,12 @@ def test_train_learns_separable_task():
     train_cache, dev_cache = _caches()
     cfg = TrainConfig(epochs=3, batch_size=4, seed=0, peak_lr=3e-3, warmup_steps=8, dtype="float64")
     result = train(train_cache, dev_cache, cfg, SLIM)
-    losses = [h[1] for h in result.history]
-    assert losses[-1] < losses[0]
+    rows = _epoch_rows(result)
+    assert [row[0] for row in rows] == [1, 2, 3]
+    assert rows[-1][1] < rows[0][1]
     assert result.best_dev_eer <= 0.25
     assert result.log_lines[-1] == f"retained_epoch\t{result.best_epoch}"
-    for line, (epoch, loss, eer) in zip(result.log_lines, result.history):
+    for line, (epoch, loss, eer) in zip(result.log_lines, rows):
         assert line == f"{epoch}\t{loss:.6f}\t{eer:.6f}"
 
 
@@ -159,7 +176,7 @@ def test_train_retains_earliest_best_epoch():
     train_cache, dev_cache = _caches(n_train=12, n_dev=6)
     cfg = TrainConfig(epochs=3, batch_size=4, seed=3, peak_lr=3e-3, warmup_steps=8)
     result = train(train_cache, dev_cache, cfg, SLIM)
-    eers = [h[2] for h in result.history]
+    eers = [row[2] for row in _epoch_rows(result)]
     assert result.best_epoch == 1 + eers.index(min(eers))
 
 

@@ -1,30 +1,11 @@
 import numpy as np
 import pytest
 
-from multires.alignment import FeatureStack
 from multires.cache import FeatureCache
 from multires.stft import ResolutionSpec
-from multires.weighting import (
-    backward,
-    batch_weights,
-    forward,
-    global_pool,
-    hidden_width,
-    init_weight_predictor,
-    mean_weights_over_set,
-    predict_weights,
-    scale_stack,
-)
-
-from oracles import central_difference
+from multires.weighting import batch_weights, hidden_width, init_weight_predictor, mean_weights_over_set
 
 RES3 = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
-
-
-def _stack(m=3, w=4, h=5, seed=0):
-    rng = np.random.default_rng(seed)
-    res = tuple(ResolutionSpec(64 * (i + 1), 16) for i in range(m))
-    return FeatureStack(rng.standard_normal((m, w, h)), res)
 
 
 def test_hidden_width_rule():
@@ -36,58 +17,24 @@ def test_hidden_width_rule():
     assert hidden_width(13) == 6
 
 
-def test_predict_weights_in_unit_interval():
-    p = init_weight_predictor(3, np.random.default_rng(0))
-    w = predict_weights(np.array([0.3, -1.2, 4.0]), p)
-    assert w.shape == (3,)
-    assert ((w > 0) & (w < 1)).all()
-
-
-def test_predict_weights_length_check():
-    p = init_weight_predictor(3, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="length 3"):
-        predict_weights(np.zeros(4), p)
-
-
-def test_global_pool_is_channel_mean():
-    stack = _stack()
-    np.testing.assert_allclose(global_pool(stack), stack.data.mean(axis=(1, 2)), atol=0)
-
-
-def test_forward_composes_pool_predict_scale():
-    stack = _stack(seed=1)
-    p = init_weight_predictor(3, np.random.default_rng(2))
-    weighted, cache = forward(stack, p)
-    w = predict_weights(global_pool(stack), p)
-    np.testing.assert_allclose(weighted.data, scale_stack(stack, w).data, atol=0)
-    assert weighted.resolutions == stack.resolutions
-    np.testing.assert_allclose(cache.scales[0], w, atol=0)
-
-
-def test_backward_matches_finite_differences():
-    stack = _stack(m=4, seed=3)
-    p = init_weight_predictor(4, np.random.default_rng(4))
-    rng = np.random.default_rng(5)
-    upstream = rng.standard_normal(stack.data.shape)
-
-    _, cache = forward(stack, p)
-    d_stack, grads = backward(cache, upstream)
-
-    def loss():
-        out, _ = forward(stack, p)
-        return float((out.data * upstream).sum())
-
-    num = central_difference(loss, [stack.data, p.fc1_weight, p.fc1_bias, p.fc2_weight, p.fc2_bias])
-    for got, want in zip([d_stack, grads.fc1_weight, grads.fc1_bias, grads.fc2_weight, grads.fc2_bias], num):
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
-
-
 def test_batch_weights_matches_per_utterance_predictions():
+    # every row against sigmoid(W2 . relu(W1 . mean + b1) + b2) in float64
     p = init_weight_predictor(3, np.random.default_rng(6))
-    stacks = np.random.default_rng(7).standard_normal((5, 3, 4, 4))
+    rng = np.random.default_rng(7)
+    p.fc1_bias = rng.standard_normal(p.fc1_bias.shape)  # init leaves biases at zero
+    p.fc2_bias = rng.standard_normal(p.fc2_bias.shape)
+    stacks = rng.standard_normal((5, 3, 4, 4))
     batched = batch_weights(stacks, p)
+    assert batched.shape == (5, 3)
     for i in range(5):
-        np.testing.assert_allclose(batched[i], predict_weights(stacks[i].mean(axis=(1, 2)), p), atol=1e-15)
+        mean = stacks[i].mean(axis=(1, 2))
+        hidden = np.maximum(p.fc1_weight @ mean + p.fc1_bias, 0.0)
+        want = 1.0 / (1.0 + np.exp(-(p.fc2_weight @ hidden + p.fc2_bias)))
+        np.testing.assert_allclose(batched[i], want, rtol=1e-14, atol=1e-15)
+    assert ((batched > 0) & (batched < 1)).all()
+    # the output dtype follows the parameters, as in float32 training
+    p32 = init_weight_predictor(3, np.random.default_rng(6), np.float32)
+    assert batch_weights(stacks, p32).dtype == np.float32
 
 
 def test_mean_weights_over_set_averages_and_chunks():
