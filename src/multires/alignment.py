@@ -46,10 +46,6 @@ class FeatureStack:
             raise ValueError("feature stack contains non-finite entries")
 
     @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def spatial_shape(self) -> tuple[int, int]:
         return self.data.shape[1], self.data.shape[2]
 

@@ -119,8 +119,9 @@ def read_cache(path: str | Path) -> FeatureCache:
             flat = np.frombuffer(buf, dtype="<f4", count=block, offset=off)
             stacks[i] = flat.reshape(m, w, h)
             off += 4 * block
+        cache = FeatureCache(tuple(resolutions), stacks, tuple(ids), labels)
     except (struct.error, ValueError) as exc:
         raise CacheFormatError(f"{path}: truncated or corrupt cache ({exc})") from exc
     if off != len(buf):
         raise CacheFormatError(f"{path}: {len(buf) - off} trailing bytes after payload")
-    return FeatureCache(tuple(resolutions), stacks, tuple(ids), labels)
+    return cache

@@ -2,6 +2,12 @@
 
 One key per line, `section.key=value`, `#` comments and blank lines allowed.
 Every key has a default; unknown keys are rejected so typos fail loudly.
+
+Each key is declared once. The `corpus.*`, `train.*`, `backend.*` and
+`tdcf.*` keys are the fields of `CorpusSpec`, `TrainConfig`, `BackendConfig`
+and `TdcfParams`, with those classes' defaults; the type of a default picks
+the key's parser. The other keys are the rows of `_TOP_LEVEL`. Parsing,
+`_DEFAULTS` and `serialize_config` all walk that one key list, so
 `serialize_config` emits a canonical ordering whose parse is equal to the
 original config (round-trip stability is part of the contract).
 """
@@ -11,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple, get_type_hints
 
 from .alignment import AlignMethod
 from .backend import BackendConfig
@@ -80,38 +87,73 @@ def _parse_resolutions(raw: str) -> tuple[ResolutionSpec, ...]:
     return tuple(ResolutionSpec.parse(tok) for tok in tokens)
 
 
-_DEFAULTS: dict[str, str] = {
-    "corpus.n_train": "400",
-    "corpus.n_dev": "100",
-    "corpus.n_eval": "200",
-    "corpus.duration_s": "1.0",
-    "corpus.sample_rate": "8000",
-    "corpus.spoof_synthesis": "256/64",
-    "corpus.seed": "0",
-    "features.resolutions": ",".join(DEFAULT_RESOLUTIONS),
-    "alignment.method": "adaptive_pool",
-    "alignment.target": "max",
-    "train.epochs": "10",
-    "train.batch_size": "8",
-    "train.seed": "0",
-    "train.peak_lr": "0.001",
-    "train.warmup_steps": "1000",
-    "train.weight_decay": "1e-09",
-    "train.target_duration_s": "4.5",
-    "train.recrop_each_epoch": "true",
-    "train.dtype": "float64",
-    "backend.stem_channels": "16",
-    "backend.stages": "3",
-    "backend.blocks_per_stage": "2",
-    "backend.se_reduction": "4",
-    "backend.n_classes": "2",
-    "tdcf.c1": "1.0",
-    "tdcf.c2": "1.0",
-    "weights.split": "dev",
-    "paths.corpus_dir": "data/corpus",
-    "paths.cache_dir": "data/cache",
-    "paths.checkpoint_dir": "data/checkpoints",
+def _format_value(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+class _Key(NamedTuple):
+    name: str  # as written in a config file
+    attr: str  # AppConfig field
+    field: str | None  # section field, or None when the key sets `attr` itself
+    default: str
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+
+
+# Section field parsers, by the type of the field's default.
+_PARSERS: dict[type, Callable[[str], Any]] = {
+    bool: _parse_bool,
+    int: int,
+    float: float,
+    str: str,
+    ResolutionSpec: ResolutionSpec.parse,
 }
+
+# AppConfig fields that are not sections: key, default text, parser, formatter.
+_TOP_LEVEL: dict[str, tuple[str, str, Callable[[str], Any], Callable[[Any], str]]] = {
+    "resolutions": (
+        "features.resolutions",
+        ",".join(DEFAULT_RESOLUTIONS),
+        _parse_resolutions,
+        lambda rs: ",".join(map(str, rs)),
+    ),
+    "align_method": ("alignment.method", "adaptive_pool", AlignMethod, lambda m: m.value),
+    "align_target": (
+        "alignment.target",
+        "max",
+        _parse_target,
+        lambda t: "max" if t is None else f"{t[0]}x{t[1]}",
+    ),
+    "weights_split": ("weights.split", "dev", str, str),
+    "corpus_dir": ("paths.corpus_dir", "data/corpus", Path, str),
+    "cache_dir": ("paths.cache_dir", "data/cache", Path, str),
+    "checkpoint_dir": ("paths.checkpoint_dir", "data/checkpoints", Path, str),
+}
+
+# The other AppConfig fields are sections: field name -> section class.
+_SECTIONS: dict[str, type] = {
+    name: cls for name, cls in get_type_hints(AppConfig).items() if name not in _TOP_LEVEL
+}
+
+
+def _declare_keys() -> tuple[_Key, ...]:
+    keys = []
+    for attr in (f.name for f in dataclasses.fields(AppConfig)):
+        if attr in _TOP_LEVEL:
+            name, default, parse, fmt = _TOP_LEVEL[attr]
+            keys.append(_Key(name, attr, None, default, parse, fmt))
+            continue
+        for f in dataclasses.fields(_SECTIONS[attr]):
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            text, parse = _format_value(default), _PARSERS[type(default)]
+            keys.append(_Key(f"{attr}.{f.name}", attr, f.name, text, parse, _format_value))
+    return tuple(keys)
+
+
+_KEYS = _declare_keys()
+_DEFAULTS: dict[str, str] = {key.name: key.default for key in _KEYS}
 
 
 def parse_config(text: str, source: str = "<config>") -> AppConfig:
@@ -131,94 +173,36 @@ def parse_config(text: str, source: str = "<config>") -> AppConfig:
 
 
 def _assemble(v: dict[str, str], source: str) -> AppConfig:
-    def conv(key: str, fn):
-        try:
-            return fn(v[key])
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"bad value for {key}: {exc}") from None
-
     try:
-        corpus = CorpusSpec(
-            n_train=conv("corpus.n_train", int),
-            n_dev=conv("corpus.n_dev", int),
-            n_eval=conv("corpus.n_eval", int),
-            duration_s=conv("corpus.duration_s", float),
-            sample_rate=conv("corpus.sample_rate", int),
-            spoof_synthesis=conv("corpus.spoof_synthesis", ResolutionSpec.parse),
-            seed=conv("corpus.seed", int),
-        )
-        train = TrainConfig(
-            epochs=conv("train.epochs", int),
-            batch_size=conv("train.batch_size", int),
-            seed=conv("train.seed", int),
-            peak_lr=conv("train.peak_lr", float),
-            warmup_steps=conv("train.warmup_steps", int),
-            weight_decay=conv("train.weight_decay", float),
-            target_duration_s=conv("train.target_duration_s", float),
-            recrop_each_epoch=conv("train.recrop_each_epoch", _parse_bool),
-            dtype=v["train.dtype"],
-        )
-        backend = BackendConfig(
-            stem_channels=conv("backend.stem_channels", int),
-            stages=conv("backend.stages", int),
-            blocks_per_stage=conv("backend.blocks_per_stage", int),
-            se_reduction=conv("backend.se_reduction", int),
-            n_classes=conv("backend.n_classes", int),
-        )
-        tdcf = TdcfParams(c1=conv("tdcf.c1", float), c2=conv("tdcf.c2", float))
-        return AppConfig(
-            corpus=corpus,
-            resolutions=conv("features.resolutions", _parse_resolutions),
-            align_method=conv("alignment.method", AlignMethod),
-            align_target=conv("alignment.target", _parse_target),
-            train=train,
-            backend=backend,
-            tdcf=tdcf,
-            weights_split=v["weights.split"],
-            corpus_dir=Path(v["paths.corpus_dir"]),
-            cache_dir=Path(v["paths.cache_dir"]),
-            checkpoint_dir=Path(v["paths.checkpoint_dir"]),
-        )
+        kwargs: dict[str, Any] = {attr: {} for attr in _SECTIONS}
+        for key in _KEYS:
+            try:
+                value = key.parse(v[key.name])
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"bad value for {key.name}: {exc}") from None
+            if key.field is None:
+                kwargs[key.attr] = value
+            else:
+                kwargs[key.attr][key.field] = value
+        for attr, cls in _SECTIONS.items():
+            try:
+                kwargs[attr] = cls(**kwargs[attr])
+            except ValueError as exc:
+                # every section message starts with its field name
+                raise ValueError(f"{attr}.{exc}") from None
+        return AppConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
 def serialize_config(config: AppConfig) -> str:
-    c = config
-    target = "max" if c.align_target is None else f"{c.align_target[0]}x{c.align_target[1]}"
-    items = [
-        ("corpus.n_train", str(c.corpus.n_train)),
-        ("corpus.n_dev", str(c.corpus.n_dev)),
-        ("corpus.n_eval", str(c.corpus.n_eval)),
-        ("corpus.duration_s", repr(c.corpus.duration_s)),
-        ("corpus.sample_rate", str(c.corpus.sample_rate)),
-        ("corpus.spoof_synthesis", str(c.corpus.spoof_synthesis)),
-        ("corpus.seed", str(c.corpus.seed)),
-        ("features.resolutions", ",".join(str(r) for r in c.resolutions)),
-        ("alignment.method", c.align_method.value),
-        ("alignment.target", target),
-        ("train.epochs", str(c.train.epochs)),
-        ("train.batch_size", str(c.train.batch_size)),
-        ("train.seed", str(c.train.seed)),
-        ("train.peak_lr", repr(c.train.peak_lr)),
-        ("train.warmup_steps", str(c.train.warmup_steps)),
-        ("train.weight_decay", repr(c.train.weight_decay)),
-        ("train.target_duration_s", repr(c.train.target_duration_s)),
-        ("train.recrop_each_epoch", "true" if c.train.recrop_each_epoch else "false"),
-        ("train.dtype", c.train.dtype),
-        ("backend.stem_channels", str(c.backend.stem_channels)),
-        ("backend.stages", str(c.backend.stages)),
-        ("backend.blocks_per_stage", str(c.backend.blocks_per_stage)),
-        ("backend.se_reduction", str(c.backend.se_reduction)),
-        ("backend.n_classes", str(c.backend.n_classes)),
-        ("tdcf.c1", repr(c.tdcf.c1)),
-        ("tdcf.c2", repr(c.tdcf.c2)),
-        ("weights.split", c.weights_split),
-        ("paths.corpus_dir", str(c.corpus_dir)),
-        ("paths.cache_dir", str(c.cache_dir)),
-        ("paths.checkpoint_dir", str(c.checkpoint_dir)),
-    ]
-    return "".join(f"{k}={v}\n" for k, v in items)
+    lines = []
+    for key in _KEYS:
+        value = getattr(config, key.attr)
+        if key.field is not None:
+            value = getattr(value, key.field)
+        lines.append(f"{key.name}={key.format(value)}\n")
+    return "".join(lines)
 
 
 def default_config() -> AppConfig:

@@ -40,12 +40,9 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.n_train, self.n_dev, self.n_eval) < 1:
-            raise ValueError("split sizes must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        for name in ("n_train", "n_dev", "n_eval", "duration_s", "sample_rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
     def split_size(self, split: str) -> int:
         return {"train": self.n_train, "dev": self.n_dev, "eval": self.n_eval}[split]

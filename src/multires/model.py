@@ -9,14 +9,15 @@ traversal order:
     per block: conv1 w, b, conv2 w, b, [proj w, b,] se fc1_w, fc1_b, fc2_w, fc2_b,
     head fc w, b
 
-The same traversal drives the optimizer, so checkpoints, Adam state, and
-gradients all agree on parameter order by construction.
+`named_params` is that one traversal. The checkpoint, the optimizer, the
+gradient lists and the diagnostic names all derive from it, so they agree on
+parameter order by construction.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .backend import (
     BackendConfig,
     BackendParams,
     BackendCache,
+    ConvParams,
     backend_backward,
     backend_forward,
     init_backend,
@@ -97,31 +99,40 @@ def model_backward(cache: ModelCache, d_logits: np.ndarray) -> tuple[np.ndarray,
     return d_stacks, ModelGrads(predictor_grads, backend_grads)
 
 
-def param_list(predictor: ExcitationParams, backend: BackendParams) -> list[np.ndarray]:
-    """All parameter tensors in checkpoint traversal order (live references)."""
-    out = [predictor.fc1_weight, predictor.fc1_bias, predictor.fc2_weight, predictor.fc2_bias]
-    out += [backend.stem.weight, backend.stem.bias]
-    for blk in backend.blocks:
-        out += [blk.conv1.weight, blk.conv1.bias, blk.conv2.weight, blk.conv2.bias]
+def _conv(prefix: str, conv: ConvParams) -> list[tuple[str, np.ndarray]]:
+    return [(f"{prefix}.w", conv.weight), (f"{prefix}.b", conv.bias)]
+
+
+def _excitation(prefix: str, p: ExcitationParams) -> list[tuple[str, np.ndarray]]:
+    return [
+        (f"{prefix}.fc1_w", p.fc1_weight),
+        (f"{prefix}.fc1_b", p.fc1_bias),
+        (f"{prefix}.fc2_w", p.fc2_weight),
+        (f"{prefix}.fc2_b", p.fc2_bias),
+    ]
+
+
+def named_params(
+    predictor: ExcitationParams, backend: BackendParams
+) -> list[tuple[str, np.ndarray]]:
+    """(name, live tensor) for every parameter, in checkpoint traversal order."""
+    out = _excitation("predictor", predictor) + _conv("stem", backend.stem)
+    for i, blk in enumerate(backend.blocks):
+        out += _conv(f"block{i}.conv1", blk.conv1) + _conv(f"block{i}.conv2", blk.conv2)
         if blk.proj is not None:
-            out += [blk.proj.weight, blk.proj.bias]
-        out += [blk.se.fc1_weight, blk.se.fc1_bias, blk.se.fc2_weight, blk.se.fc2_bias]
-    out += [backend.fc_weight, backend.fc_bias]
-    return out
+            out += _conv(f"block{i}.proj", blk.proj)
+        out += _excitation(f"block{i}.se", blk.se)
+    return out + [("head.w", backend.fc_weight), ("head.b", backend.fc_bias)]
+
+
+def param_list(predictor: ExcitationParams, backend: BackendParams) -> list[np.ndarray]:
+    """Live parameter tensors in checkpoint traversal order."""
+    return [arr for _, arr in named_params(predictor, backend)]
 
 
 def param_names(predictor: ExcitationParams, backend: BackendParams) -> list[str]:
-    """Human-readable names parallel to :func:`param_list` (for diagnostics)."""
-    names = ["predictor.fc1_w", "predictor.fc1_b", "predictor.fc2_w", "predictor.fc2_b"]
-    names += ["stem.w", "stem.b"]
-    for i, blk in enumerate(backend.blocks):
-        p = f"block{i}"
-        names += [f"{p}.conv1.w", f"{p}.conv1.b", f"{p}.conv2.w", f"{p}.conv2.b"]
-        if blk.proj is not None:
-            names += [f"{p}.proj.w", f"{p}.proj.b"]
-        names += [f"{p}.se.fc1_w", f"{p}.se.fc1_b", f"{p}.se.fc2_w", f"{p}.se.fc2_b"]
-    names += ["head.w", "head.b"]
-    return names
+    """Names parallel to :func:`param_list` (for diagnostics)."""
+    return [name for name, _ in named_params(predictor, backend)]
 
 
 def model_params(model: Model) -> list[np.ndarray]:
@@ -143,17 +154,7 @@ def cast_model(model: Model, dtype: np.dtype) -> Model:
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
     parts = [MAGIC, struct.pack("<H", VERSION)]
-    cfg = model.config
-    parts.append(
-        struct.pack(
-            "<IIIII",
-            cfg.stem_channels,
-            cfg.stages,
-            cfg.blocks_per_stage,
-            cfg.se_reduction,
-            cfg.n_classes,
-        )
-    )
+    parts.append(struct.pack("<IIIII", *astuple(model.config)))
     parts.append(struct.pack("<II", model.n_channels, model.predictor.hidden))
     for res in model.resolutions:
         parts.append(struct.pack("<II", res.window_len, res.hop_len))
@@ -171,7 +172,7 @@ def load_checkpoint(path: str | Path) -> Model:
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
     off = 6
     try:
-        stem, stages, blocks, red, classes = struct.unpack_from("<IIIII", buf, off)
+        config_fields = struct.unpack_from("<IIIII", buf, off)
         off += 20
         m, hidden = struct.unpack_from("<II", buf, off)
         off += 8
@@ -180,7 +181,7 @@ def load_checkpoint(path: str | Path) -> Model:
             window, hop = struct.unpack_from("<II", buf, off)
             off += 8
             resolutions.append(ResolutionSpec(window, hop))
-        config = BackendConfig(stem, stages, blocks, red, classes)
+        config = BackendConfig(*config_fields)
     except (struct.error, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad header ({exc})") from exc
     if hidden != hidden_width(m):

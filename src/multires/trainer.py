@@ -27,6 +27,7 @@ from .model import (
 )
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
 
 
 class TrainingDivergedError(RuntimeError):
@@ -50,8 +51,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.peak_lr <= 0 or self.warmup_steps < 1:
-            raise ValueError("peak_lr must be positive and warmup_steps >= 1")
+        if self.peak_lr <= 0:
+            raise ValueError("peak_lr must be positive")
+        if self.warmup_steps < 1:
+            raise ValueError("warmup_steps must be >= 1")
         if self.target_duration_s <= 0:
             raise ValueError("target_duration_s must be positive")
         if self.dtype not in DTYPES:
@@ -78,7 +81,7 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, 
     return float(losses.mean()), (grad / n).astype(logits.dtype, copy=False)
 
 
-def lr_at(step: int, peak_lr: float = 1e-3, warmup_steps: int = 1000) -> float:
+def lr_at(step: int, peak_lr: float, warmup_steps: int) -> float:
     """Linear warmup to peak_lr at warmup_steps, then 1/sqrt(step) decay."""
     if step < 1:
         raise ValueError("step must be >= 1")
@@ -89,20 +92,14 @@ def lr_at(step: int, peak_lr: float = 1e-3, warmup_steps: int = 1000) -> float:
 class OptimizerState:
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
+    peak_lr: float
+    warmup_steps: int
+    weight_decay: float
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
-    weight_decay: float = 1e-9
-    peak_lr: float = 1e-3
-    warmup_steps: int = 1000
 
 
 def init_optimizer(
-    params: list[np.ndarray],
-    peak_lr: float = 1e-3,
-    warmup_steps: int = 1000,
-    weight_decay: float = 1e-9,
+    params: list[np.ndarray], peak_lr: float, warmup_steps: int, weight_decay: float
 ) -> OptimizerState:
     return OptimizerState(
         first_moment=[np.zeros_like(p) for p in params],
@@ -124,7 +121,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: Optimize
         raise ValueError("params, grads, and optimizer state disagree on tensor count")
     state.step += 1
     lr = lr_at(state.step, state.peak_lr, state.warmup_steps)
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
@@ -135,7 +132,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: Optimize
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def score_cache(model: Model, cache: FeatureCache, batch_size: int = 32) -> np.ndarray:

@@ -86,6 +86,19 @@ def test_truncation_rejected(tmp_path):
                 read_cache(path)
 
 
+def test_corrupt_label_rejected(tmp_path):
+    cache = _cache(n=1, w=1, h=1)
+    path = tmp_path / "l.mrfe"
+    write_cache(cache, path)
+    buf = bytearray(path.read_bytes())
+    label_at = 8 + 8 * len(RES) + 12 + 2 + len(cache.ids[0])
+    assert buf[label_at] == cache.labels[0]
+    buf[label_at] = 2
+    path.write_bytes(bytes(buf))
+    with pytest.raises(CacheFormatError, match=r"l\.mrfe: truncated or corrupt cache \(labels"):
+        read_cache(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     cache = _cache()
     path = tmp_path / "tr.mrfe"

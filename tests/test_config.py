@@ -81,12 +81,13 @@ def test_semantic_validation():
         parse_config("weights.split = test\n")
     with pytest.raises(ConfigError, match="non-empty"):
         parse_config("features.resolutions = ,\n")
-    # values each section's own validation rejects
+    # values each section's own validation rejects, reported under the key
     for line, match in [
-        ("train.epochs = 0", "epochs"),
-        ("train.dtype = float16", "dtype"),
-        ("backend.se_reduction = 32", "se_reduction"),
-        ("tdcf.c1 = 0", "c1"),
+        ("corpus.n_dev = 0", r"corpus\.n_dev"),
+        ("train.epochs = 0", r"train\.epochs"),
+        ("train.dtype = float16", r"train\.dtype"),
+        ("backend.se_reduction = 32", r"backend\.se_reduction"),
+        ("tdcf.c1 = 0", r"tdcf\.c1"),
     ]:
         with pytest.raises(ConfigError, match=match) as info:
             parse_config(line + "\n", source="run.cfg")
@@ -112,6 +113,72 @@ def test_round_trip_default_config():
 def test_serialize_emits_every_default_key_once_in_order():
     lines = serialize_config(default_config()).splitlines()
     assert [line.partition("=")[0] for line in lines] == list(_DEFAULTS)
+
+
+# A valid value for every key that differs from its default.
+NON_DEFAULTS = {
+    "corpus.n_train": "11",
+    "corpus.n_dev": "12",
+    "corpus.n_eval": "13",
+    "corpus.duration_s": "2.5",
+    "corpus.sample_rate": "16000",
+    "corpus.spoof_synthesis": "512/128",
+    "corpus.seed": "5",
+    "features.resolutions": "128/32,256/64",
+    "alignment.method": "nearest",
+    "alignment.target": "64x65",
+    "train.epochs": "3",
+    "train.batch_size": "4",
+    "train.seed": "6",
+    "train.peak_lr": "0.002",
+    "train.warmup_steps": "7",
+    "train.weight_decay": "1e-05",
+    "train.target_duration_s": "1.5",
+    "train.recrop_each_epoch": "false",
+    "train.dtype": "float32",
+    "backend.stem_channels": "24",
+    "backend.stages": "4",
+    "backend.blocks_per_stage": "1",
+    "backend.se_reduction": "8",
+    "backend.n_classes": "3",
+    "tdcf.c1": "2.0",
+    "tdcf.c2": "3.0",
+    "weights.split": "train",
+    "paths.corpus_dir": "x/corpus",
+    "paths.cache_dir": "x/cache",
+    "paths.checkpoint_dir": "x/checkpoints",
+}
+
+
+def _field(cfg, key):
+    section, _, name = key.partition(".")
+    if section in ("corpus", "train", "backend", "tdcf"):
+        return getattr(getattr(cfg, section), name)
+    return {
+        "features.resolutions": cfg.resolutions,
+        "alignment.method": cfg.align_method,
+        "alignment.target": cfg.align_target,
+        "weights.split": cfg.weights_split,
+        "paths.corpus_dir": cfg.corpus_dir,
+        "paths.cache_dir": cfg.cache_dir,
+        "paths.checkpoint_dir": cfg.checkpoint_dir,
+    }[key]
+
+
+def test_every_key_reaches_its_own_field():
+    assert list(NON_DEFAULTS) == list(_DEFAULTS)
+    defaults = default_config()
+    for key, value in NON_DEFAULTS.items():
+        assert value != _DEFAULTS[key], key
+        cfg = parse_config(f"{key} = {value}\n")
+        assert _field(cfg, key) != _field(defaults, key), key
+        # no other key moved
+        assert all(_field(cfg, k) == _field(defaults, k) for k in _DEFAULTS if k != key), key
+    text = "".join(f"{k}={v}\n" for k, v in NON_DEFAULTS.items())
+    cfg = parse_config(text)
+    assert all(_field(cfg, k) != _field(defaults, k) for k in _DEFAULTS)
+    assert serialize_config(cfg) == text
+    assert serialize_config(parse_config(serialize_config(cfg))) == text
 
 
 def test_save_and_load(tmp_path):

@@ -96,7 +96,7 @@ def test_lr_schedule_anchor_points():
     assert lr_at(4000, 1e-3, 1000) == pytest.approx(0.5e-3)
     assert lr_at(1, 1e-3, 1000) == pytest.approx(1e-6)
     with pytest.raises(ValueError):
-        lr_at(0)
+        lr_at(0, 1e-3, 1000)
 
 
 def test_lr_schedule_peaks_at_warmup():
@@ -129,7 +129,7 @@ def test_adam_updates_in_place_per_tensor():
 
 def test_adam_shape_mismatch_rejected():
     p = [np.zeros(3)]
-    state = init_optimizer(p)
+    state = init_optimizer(p, peak_lr=1e-3, warmup_steps=1000, weight_decay=1e-9)
     with pytest.raises(ValueError, match="shape"):
         adam_step(p, [np.zeros(4)], state)
 
