@@ -8,6 +8,17 @@ batch norm, and ReLU's derivative at exactly 0 is taken as 0.
 Conventions fixed for testability: cross-correlation (no kernel flip),
 "same" zero padding, output dims ceil(W / stride) for stride in {1, 2}.
 Stage s >= 2 opens with a stride-2 block that doubles the channel count.
+
+Every conv (stem, 3x3 at stride 1 and 2, 1x1 projection) is one
+implicit-GEMM kernel, the unrolled-GEMM convolution of Chellapilla, Puri &
+Simard (2006) without the unrolled matrix. A call pads x and lays it out
+once as a channel-major buffer (C, N * W_q * H_q + tail), so kernel tap
+(i, j) is a slice of it at a fixed flat offset and the conv is k * k GEMMs
+summed on the padded grid, then cropped. A stride-2 conv first splits the
+padded input into its 2 x 2 polyphase parts, and tap (i, j) reads part
+(i % 2, j % 2). Backward re-gathers x and runs the same per-tap GEMMs for
+d_weight and for the buffer gradient, which is then gathered back onto x.
+Activations stay (N, C, W, H) between calls.
 """
 
 from __future__ import annotations
@@ -128,61 +139,179 @@ def init_backend(
 # conv2d
 
 
-def _out_dims(x: np.ndarray, stride: int) -> tuple[int, int]:
-    return -(-x.shape[2] // stride), -(-x.shape[3] // stride)
+# Bytes of input plus output columns in one block of the tap GEMMs: well
+# inside a core's L2, so the k*k taps of a block read it from cache.
+_BLOCK_BYTES = 1 << 19
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, ho: int) -> np.ndarray:
-    """Gather kernel taps into (N, C*k*k, W'*H') for one GEMM per example.
+def _check_input(x: np.ndarray, p: ConvParams) -> None:
+    if x.ndim != 4:
+        raise ValueError(f"conv input must be (N, C, W, H), got {x.shape}")
+    if x.shape[1] != p.weight.shape[1]:
+        raise ValueError(
+            f"conv weight {p.weight.shape} expects {p.weight.shape[1]} input channels, "
+            f"got input {x.shape}"
+        )
 
-    The (N, C, k, k, W', H') layout keeps both sides of every copy in long
-    contiguous runs, which is what makes this faster than contracting a
-    sliding-window view directly.
+
+def _phase_span(n: int, phase: int, pad: int, stride: int) -> tuple[slice, slice]:
+    """Where one polyphase part of a padded axis holds input values.
+
+    Padded position `stride * u + phase` is input position
+    `stride * u + phase - pad`. Returns the slice over `u` and the input
+    slice that fill each other; every other position of the part is padding.
     """
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, wo, ho), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * wo : stride, j : j + stride * ho : stride]
-    return cols.reshape(n, c * k * k, wo * ho)
+    first = (phase - pad) % stride
+    start = (first + pad - phase) // stride
+    count = len(range(first, n, stride))
+    return slice(start, start + count), slice(first, n, stride)
+
+
+class _TapLayout:
+    """Polyphase grid of one conv call and where each kernel tap reads it.
+
+    The padded input splits into its stride x stride polyphase parts, each on
+    a (W_q, H_q) grid per example, laid out channel-major as one buffer
+    (C, phases, N * W_q * H_q + tail). Tap (i, j) reads phase (i % s, j % s)
+    at flat offset (i // s) * H_q + j // s, so its GEMM operand is a slice
+    with contiguous rows. Outputs are computed on the grid and cropped to
+    (W', H'); the tail keeps the last tap's slice inside the buffer.
+    """
+
+    def __init__(self, x_shape: tuple[int, ...], k: int, stride: int) -> None:
+        n, _, w, h = x_shape
+        self.x_shape, self.stride, self.pad = tuple(x_shape), stride, (k - 1) // 2
+        self.wo, self.ho = -(-w // stride), -(-h // stride)
+        reach = (k - 1) // stride
+        self.wq, self.hq = self.wo + reach, self.ho + reach
+        self.size = n * self.wq * self.hq  # columns of every tap GEMM
+        self.phases = sorted({(i % stride, j % stride) for i in range(k) for j in range(k)})
+        self.taps = [  # (i, j, phase index, flat offset)
+            (i, j, self.phases.index((i % stride, j % stride)), (i // stride) * self.hq + j // stride)
+            for i in range(k)
+            for j in range(k)
+        ]
+
+    def blocks(self, rows: int, dtype) -> tuple[int, list[slice]]:
+        """Column blocks of the tap GEMMs: (widest block, blocks).
+
+        A block is a run of one example's output rows, sized so `rows` rows
+        of it (inputs plus outputs) take at most about `_BLOCK_BYTES`. Grid
+        rows past W' are never computed. Every example is cut the same way,
+        so an output column meets GEMMs of the same shapes whatever the
+        batch, and a forward pass does not depend on the batch it is in.
+        """
+        per = max(1, _BLOCK_BYTES // (rows * np.dtype(dtype).itemsize * self.hq))
+        g = self.wq * self.hq
+        return per * self.hq, [
+            slice(n * g + a * self.hq, n * g + min(a + per, self.wo) * self.hq)
+            for n in range(self.x_shape[0])
+            for a in range(0, self.wo, per)
+        ]
+
+    def _phase_views(self, buf: np.ndarray, x: np.ndarray):
+        """Matching (buffer part, input part) views, one pair per phase."""
+        grid = buf[:, :, : self.size].reshape(buf.shape[:2] + (self.x_shape[0], self.wq, self.hq))
+        for ph, (pi, pj) in enumerate(self.phases):
+            gu, xu = _phase_span(self.x_shape[2], pi, self.pad, self.stride)
+            gv, xv = _phase_span(self.x_shape[3], pj, self.pad, self.stride)
+            yield grid[:, ph, :, gu, gv], x[:, :, xu, xv].transpose(1, 0, 2, 3)
+
+    def gather(self, x: np.ndarray, dtype) -> np.ndarray:
+        """Pad x and lay its polyphase parts out channel-major, in one pass."""
+        tail = max(off for *_, off in self.taps)
+        buf = np.zeros((x.shape[1], len(self.phases), self.size + tail), dtype=dtype)
+        for part, x_part in self._phase_views(buf, x):
+            part[...] = x_part
+        return buf
+
+    def scatter(self, d_buf: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. x from the gradient w.r.t. its gathered buffer."""
+        n, _, w, h = self.x_shape
+        dx = np.zeros((n, d_buf.shape[0], w, h), dtype=d_buf.dtype)
+        for part, dx_part in self._phase_views(d_buf, dx):
+            dx_part[...] = part
+        return dx
+
+    def crop(self, flat: np.ndarray) -> np.ndarray:
+        """(C, N * W_q * H_q) grid values -> (N, C, W', H') view of the output."""
+        grid = flat.reshape(flat.shape[0], self.x_shape[0], self.wq, self.hq)
+        return grid[:, :, : self.wo, : self.ho].transpose(1, 0, 2, 3)
+
+
+def _tap_weights(weight: np.ndarray, dtype) -> np.ndarray:
+    """(C_out, C_in, k, k) -> (k, k, C_out, C_in), so each tap is contiguous."""
+    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=dtype)
+
+
+def _taps_forward(x: np.ndarray, weight: np.ndarray, lay: _TapLayout, dtype) -> np.ndarray:
+    """Sum over taps of W[:, :, i, j] @ tap slice, on the flat (C_out, grid)."""
+    buf = lay.gather(x, dtype)
+    w_taps = _tap_weights(weight, dtype)
+    c_out, c_in = weight.shape[:2]
+    acc = np.empty((c_out, lay.size), dtype=dtype)
+    step, blocks = lay.blocks(c_in + c_out, dtype)
+    tmp = np.empty((c_out, step), dtype=dtype)
+    for cols in blocks:
+        out, part = acc[:, cols], tmp[:, : cols.stop - cols.start]
+        for t, (i, j, ph, off) in enumerate(lay.taps):
+            np.matmul(w_taps[i, j], buf[:, ph, off + cols.start : off + cols.stop], out=part if t else out)
+            if t:
+                out += part
+    return acc
+
+
+def _taps_backward(
+    x: np.ndarray, weight: np.ndarray, dy: np.ndarray, lay: _TapLayout, dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tap GEMMs of dy against the gathered input: (d_buf, d_weight)."""
+    buf = lay.gather(x, dtype)
+    w_taps = _tap_weights(weight, dtype)
+    c_out, c_in = weight.shape[:2]
+    dy_p = np.zeros((c_out, lay.size), dtype=dtype)
+    lay.crop(dy_p)[...] = dy
+    dw_taps = np.zeros_like(w_taps)
+    dw_part = np.empty((c_out, c_in), dtype=dtype)
+    d_buf = np.zeros_like(buf)
+    step, blocks = lay.blocks(c_in + c_out, dtype)
+    tmp = np.empty((c_in, step), dtype=dtype)
+    for cols in blocks:
+        d_out, part = dy_p[:, cols], tmp[:, : cols.stop - cols.start]
+        for i, j, ph, off in lay.taps:
+            span = slice(off + cols.start, off + cols.stop)
+            np.matmul(d_out, buf[:, ph, span].T, out=dw_part)
+            dw_taps[i, j] += dw_part
+            np.matmul(w_taps[i, j].T, d_out, out=part)
+            d_buf[:, ph, span] += part
+    return d_buf, dw_taps.transpose(2, 3, 0, 1)
 
 
 def conv2d_forward(x: np.ndarray, p: ConvParams, stride: int = 1) -> np.ndarray:
     """Same-padded cross-correlation on (N, C_in, W, H) -> (N, C_out, W', H')."""
-    if x.ndim != 4:
-        raise ValueError(f"conv input must be (N, C, W, H), got {x.shape}")
-    if x.shape[1] != p.weight.shape[1]:
-        raise ValueError(f"conv expects {p.weight.shape[1]} input channels, got {x.shape[1]}")
-    c_out, _, k, _ = p.weight.shape
-    pad = (k - 1) // 2
-    wo, ho = _out_dims(x, stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, k, stride, wo, ho)
-    y = np.matmul(p.weight.reshape(c_out, -1)[None], cols)
-    return y.reshape(x.shape[0], c_out, wo, ho) + p.bias[None, :, None, None]
+    _check_input(x, p)
+    lay = _TapLayout(x.shape, p.weight.shape[2], stride)
+    dtype = np.result_type(x, p.weight)
+    grid = lay.crop(_taps_forward(x, p.weight, lay, dtype))
+    y = np.empty(grid.shape, dtype=np.result_type(dtype, p.bias))
+    np.add(grid, p.bias[:, None, None], out=y)
+    return y
 
 
 def conv2d_backward(
     x: np.ndarray, p: ConvParams, dy: np.ndarray, stride: int = 1
 ) -> tuple[np.ndarray, ConvParams]:
-    """Gradients w.r.t. input and parameters; recomputes the tap gather."""
-    c_out, c_in, k, _ = p.weight.shape
-    pad = (k - 1) // 2
-    n, _, wo, ho = dy.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, k, stride, wo, ho)
-    dyf = dy.reshape(n, c_out, wo * ho)
+    """Gradients w.r.t. input and parameters; re-gathers x rather than caching it."""
+    _check_input(x, p)
+    lay = _TapLayout(x.shape, p.weight.shape[2], stride)
+    want = (x.shape[0], p.weight.shape[0], lay.wo, lay.ho)
+    if dy.shape != want:
+        raise ValueError(
+            f"conv output gradient must be {want} for input {x.shape} at stride {stride}, "
+            f"got {dy.shape}"
+        )
+    d_buf, d_weight = _taps_backward(x, p.weight, dy, lay, np.result_type(x, p.weight, dy))
     d_bias = dy.sum(axis=(0, 2, 3)).astype(p.bias.dtype, copy=False)
-    d_weight = np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p.weight.shape)
-    d_cols = np.matmul(p.weight.reshape(c_out, -1).T[None], dyf)
-    d_cols = d_cols.reshape(n, c_in, k, k, wo, ho)
-    # Scatter each tap's contribution back onto the padded input grid.
-    dxp = np.zeros_like(xp)
-    for i in range(k):
-        for j in range(k):
-            dxp[:, :, i : i + stride * wo : stride, j : j + stride * ho : stride] += d_cols[:, :, i, j]
-    dx = dxp[:, :, pad : pad + x.shape[2], pad : pad + x.shape[3]]
-    return np.ascontiguousarray(dx), ConvParams(d_weight, d_bias)
+    return lay.scatter(d_buf), ConvParams(np.ascontiguousarray(d_weight), d_bias)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -253,7 +382,9 @@ def backend_forward(x: np.ndarray, params: BackendParams) -> tuple[np.ndarray, B
         h, bc = block_forward(h, bp)
         cache.blocks.append(bc)
     pooled = h.mean(axis=(2, 3))
-    logits = pooled @ params.fc_weight.T + params.fc_bias
+    # einsum, not `@`: BLAS takes another path for a one-row batch, and a
+    # score must not depend on the batch that it was computed in.
+    logits = np.einsum("nc,kc->nk", pooled, params.fc_weight) + params.fc_bias
     cache.features = h
     cache.pooled = pooled
     return logits, cache

@@ -16,9 +16,11 @@ Layout, all integers little-endian:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -70,58 +72,74 @@ class FeatureCache:
 
 
 def write_cache(cache: FeatureCache, path: str | Path) -> None:
+    """Stream the cache to `<path>.tmp`, then move it into place.
+
+    Each utterance's bytes go straight from `stacks` to the file, so no copy
+    of the split is held. A failure part-way removes the temp file and
+    leaves any earlier file at `path` as it was.
+    """
+    path = Path(path)
     n, m, w, h = cache.stacks.shape
-    parts = [MAGIC, struct.pack("<HH", VERSION, m)]
-    for res in cache.resolutions:
-        parts.append(struct.pack("<II", res.window_len, res.hop_len))
-    parts.append(struct.pack("<III", w, h, n))
     payload = np.ascontiguousarray(cache.stacks, dtype="<f4")
-    for i in range(n):
-        raw_id = cache.ids[i].encode("utf-8")
-        if len(raw_id) > 0xFFFF:
-            raise ValueError(f"utterance id too long: {cache.ids[i]!r}")
-        parts.append(struct.pack("<H", len(raw_id)))
-        parts.append(raw_id)
-        parts.append(struct.pack("<B", int(cache.labels[i])))
-        parts.append(payload[i].tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + struct.pack("<HH", VERSION, m))
+            for res in cache.resolutions:
+                f.write(struct.pack("<II", res.window_len, res.hop_len))
+            f.write(struct.pack("<III", w, h, n))
+            for i in range(n):
+                raw_id = cache.ids[i].encode("utf-8")
+                if len(raw_id) > 0xFFFF:
+                    raise ValueError(f"utterance id too long: {cache.ids[i]!r}")
+                f.write(struct.pack("<H", len(raw_id)) + raw_id + struct.pack("<B", int(cache.labels[i])))
+                f.write(payload[i])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_exact(f: BinaryIO, size: int, what: str) -> bytes:
+    raw = f.read(size)
+    if len(raw) != size:
+        raise ValueError(f"file ends inside {what}")
+    return raw
 
 
 def read_cache(path: str | Path) -> FeatureCache:
-    buf = Path(path).read_bytes()
-    if len(buf) < 8 or buf[:4] != MAGIC:
-        raise CacheFormatError(f"{path}: not a feature cache (bad magic)")
-    version, m = struct.unpack_from("<HH", buf, 4)
-    if version != VERSION:
-        raise CacheFormatError(f"{path}: unsupported cache version {version}")
-    off = 8
-    try:
-        resolutions = []
-        for _ in range(m):
-            window, hop = struct.unpack_from("<II", buf, off)
-            off += 8
-            resolutions.append(ResolutionSpec(window, hop))
-        w, h, n = struct.unpack_from("<III", buf, off)
-        off += 12
-        block = m * w * h
-        stacks = np.empty((n, m, w, h), dtype=np.float32)
-        ids = []
-        labels = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            (id_len,) = struct.unpack_from("<H", buf, off)
-            off += 2
-            if off + id_len + 1 > len(buf):
-                raise ValueError(f"utterance {i} ends inside its id or label")
-            ids.append(buf[off : off + id_len].decode("utf-8"))
-            off += id_len
-            labels[i] = buf[off]
-            off += 1
-            flat = np.frombuffer(buf, dtype="<f4", count=block, offset=off)
-            stacks[i] = flat.reshape(m, w, h)
-            off += 4 * block
-        cache = FeatureCache(tuple(resolutions), stacks, tuple(ids), labels)
-    except (struct.error, ValueError) as exc:
-        raise CacheFormatError(f"{path}: truncated or corrupt cache ({exc})") from exc
-    if off != len(buf):
-        raise CacheFormatError(f"{path}: {len(buf) - off} trailing bytes after payload")
+    """Parse a cache, reading each utterance's block straight into `stacks`."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if len(head) < 8 or head[:4] != MAGIC:
+            raise CacheFormatError(f"{path}: not a feature cache (bad magic)")
+        version, m = struct.unpack_from("<HH", head, 4)
+        if version != VERSION:
+            raise CacheFormatError(f"{path}: unsupported cache version {version}")
+        try:
+            resolutions = []
+            for _ in range(m):
+                window, hop = struct.unpack("<II", _read_exact(f, 8, "the resolution table"))
+                resolutions.append(ResolutionSpec(window, hop))
+            w, h, n = struct.unpack("<III", _read_exact(f, 12, "the dimensions"))
+            block = 4 * m * w * h
+            if n * (3 + block) > size - f.tell():
+                raise ValueError(f"{size} bytes cannot hold {n} utterances of {block} feature bytes")
+            stacks = np.empty((n, m, w, h), dtype="<f4")
+            ids = []
+            labels = np.empty(n, dtype=np.uint8)
+            for i in range(n):
+                (id_len,) = struct.unpack("<H", _read_exact(f, 2, f"utterance {i}'s id length"))
+                raw = _read_exact(f, id_len + 1, f"utterance {i}'s id or label")
+                ids.append(raw[:id_len].decode("utf-8"))
+                labels[i] = raw[id_len]
+                if f.readinto(stacks[i]) != block:
+                    raise ValueError(f"file ends inside utterance {i}'s features")
+            cache = FeatureCache(tuple(resolutions), stacks, tuple(ids), labels)
+        except (struct.error, ValueError) as exc:
+            raise CacheFormatError(f"{path}: truncated or corrupt cache ({exc})") from exc
+        trailing = size - f.tell()
+    if trailing:
+        raise CacheFormatError(f"{path}: {trailing} trailing bytes after payload")
     return cache

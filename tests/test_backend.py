@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,21 +63,99 @@ def test_conv_1x1_kernel():
     np.testing.assert_allclose(conv2d_forward(x, p), naive_conv2d(x, p.weight, p.bias, 1), atol=1e-12)
 
 
+def _assert_conv_grads(x, p, stride):
+    dy = np.random.default_rng(99).standard_normal(conv2d_forward(x, p, stride).shape)
+    dx, dp = conv2d_backward(x, p, dy, stride)
+
+    def loss():
+        return float((conv2d_forward(x, p, stride) * dy).sum())
+
+    num = central_difference(loss, [x, p.weight, p.bias])
+    np.testing.assert_allclose(dx, num[0], rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(dp.weight, num[1], rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(dp.bias, num[2], rtol=1e-6, atol=1e-8)
+
+
 def test_conv_backward_finite_differences():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, 2, 4, 5))
     p = _conv(3, 2, 3, seed=8)
     for stride in (1, 2):
-        dy = rng.standard_normal(conv2d_forward(x, p, stride).shape)
-        dx, dp = conv2d_backward(x, p, dy, stride)
+        _assert_conv_grads(x, p, stride)
 
-        def loss():
-            return float((conv2d_forward(x, p, stride) * dy).sum())
 
-        num = central_difference(loss, [x, p.weight, p.bias])
-        np.testing.assert_allclose(dx, num[0], rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(dp.weight, num[1], rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(dp.bias, num[2], rtol=1e-6, atol=1e-8)
+def test_conv_stride2_backward_even_and_odd_dims():
+    rng = np.random.default_rng(17)
+    p = _conv(3, 2, 3, seed=18)
+    for w, h in [(6, 4), (5, 7)]:
+        _assert_conv_grads(rng.standard_normal((2, 2, w, h)), p, 2)
+
+
+def test_conv_1x1_stride2_projection_odd_dims():
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((2, 3, 7, 5))
+    p = _conv(4, 3, 1, seed=20)
+    y = conv2d_forward(x, p, stride=2)
+    assert y.shape == (2, 4, 4, 3)
+    np.testing.assert_allclose(y, naive_conv2d(x, p.weight, p.bias, 2), atol=1e-12)
+    _assert_conv_grads(x, p, 2)
+
+
+def test_conv_single_input_channel():
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((2, 1, 5, 6))
+    p = _conv(3, 1, 3, seed=22)
+    for stride in (1, 2):
+        np.testing.assert_allclose(conv2d_forward(x, p, stride), naive_conv2d(x, p.weight, p.bias, stride), atol=1e-12)
+        _assert_conv_grads(x, p, stride)
+
+
+def test_conv_float32_in_float32_out():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((2, 3, 9, 8))
+    p = _conv(4, 3, 3, seed=24)
+    p32 = ConvParams(p.weight.astype(np.float32), p.bias.astype(np.float32))
+    for stride in (1, 2):
+        y64 = naive_conv2d(x, p.weight, p.bias, stride)
+        dy = rng.standard_normal(y64.shape)
+        want = (y64, *_flat_grads(conv2d_backward(x, p, dy, stride)))
+        y32 = conv2d_forward(x.astype(np.float32), p32, stride)
+        got = (y32, *_flat_grads(conv2d_backward(x.astype(np.float32), p32, dy.astype(np.float32), stride)))
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32
+            assert np.abs(g - w).max() <= 1e-5 * np.abs(w).max()
+
+
+def _flat_grads(grads):
+    dx, dp = grads
+    return dx, dp.weight, dp.bias
+
+
+def test_conv_backward_rejects_bad_shapes():
+    x = np.zeros((2, 3, 5, 4))
+    p = _conv(4, 3, 3)
+    with pytest.raises(ValueError, match=r"\(2, 4, 3, 2\).*\(2, 3, 5, 4\).*\(2, 4, 5, 4\)"):
+        conv2d_backward(x, p, np.zeros((2, 4, 5, 4)), stride=2)
+    with pytest.raises(ValueError, match=r"\(4, 2, 3, 3\).*\(2, 3, 5, 4\)"):
+        conv2d_backward(x, _conv(4, 2, 3), np.zeros((2, 4, 5, 4)))
+
+
+def test_conv_memory_stays_near_input_size():
+    # the kernel holds a few input-sized buffers, never a k*k-times column copy
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((8, 8, 64, 65))
+    p = _conv(8, 8, 3, seed=26)
+    dy = rng.standard_normal(x.shape)
+    tracemalloc.start()
+    try:
+        for call, bound in ((lambda: conv2d_forward(x, p), 6), (lambda: conv2d_backward(x, p, dy), 8)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= bound * x.nbytes, f"peak {peak / x.nbytes:.1f}x input bytes"
+    finally:
+        tracemalloc.stop()
 
 
 def test_conv_rejects_even_kernel():

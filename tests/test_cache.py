@@ -121,3 +121,29 @@ def test_validation_bad_label():
 def test_validation_channel_mismatch():
     with pytest.raises(ValueError, match="channels"):
         FeatureCache(RES, np.zeros((1, 3, 3, 3), dtype=np.float32), ("a",), np.zeros(1, dtype=np.uint8))
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    good = _cache()
+    long_last = FeatureCache(RES, good.stacks, good.ids[:-1] + ("x" * 0x10000,), good.labels)
+    path = tmp_path / "w.mrfe"
+    with pytest.raises(ValueError, match="too long"):
+        write_cache(long_last, path)
+    assert list(tmp_path.iterdir()) == []
+    write_cache(good, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="too long"):
+        write_cache(long_last, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+
+
+def test_utterance_count_beyond_file_size_rejected(tmp_path):
+    # checked before the stacks are allocated, so a corrupt count cannot exhaust memory
+    path = tmp_path / "n.mrfe"
+    write_cache(_cache(n=1), path)
+    buf = bytearray(path.read_bytes())
+    struct.pack_into("<I", buf, 8 + 8 * len(RES) + 8, 0xFFFFFFFF)
+    path.write_bytes(bytes(buf))
+    with pytest.raises(CacheFormatError, match="cannot hold 4294967295 utterances"):
+        read_cache(path)
