@@ -7,14 +7,20 @@ Two alignment methods:
   applied to rows first, then columns
 * nearest-neighbor resampling: ``out[i][j] = in[floor(i*In_w/Out_w)][floor(j*In_h/Out_h)]``
 
-Bin sums accumulate strictly left to right so results are bit-identical to a
-straightforward loop over the bin formula.
+Pooling one axis follows a plan that is built once per ``(In, Out)`` pair and
+cached: the bin starts, the bin widths, and for each offset ``k >= 1`` the bins
+wider than ``k``.  The sums are vectorized over bins but still accumulate
+strictly left to right (``acc = in[start]``, then ``acc += in[start + k]`` for
+k = 1, 2, ...), and each sum is divided by its width in the input dtype, so
+results are bit-identical to a straightforward loop over the bin formula.  The
+column pass runs on a contiguous copy of the transposed row-pooled map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,14 +63,40 @@ def pool_bins(n_in: int, n_out: int) -> list[tuple[int, int]]:
     return [(i * n_in // n_out, -((-(i + 1) * n_in) // n_out)) for i in range(n_out)]
 
 
+@dataclass(frozen=True)
+class _PoolPlan:
+    """Read-only index arrays for pooling n_in entries into n_out bins."""
+
+    starts: np.ndarray  # (n_out,) first input index of each bin
+    widths: np.ndarray  # (n_out,) input entries per bin
+    # one (wider, rows) pair per offset k = 1, 2, ...: the (n_out, 1) mask of
+    # bins wider than k, and start + k for each bin (clamped where masked out)
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=256)
+def _pool_plan(n_in: int, n_out: int) -> _PoolPlan:
+    starts, ends = np.array(pool_bins(n_in, n_out)).T
+    widths = ends - starts
+    steps = tuple(
+        (_read_only((widths > k)[:, None]), _read_only(np.minimum(starts + k, n_in - 1)))
+        for k in range(1, int(widths.max()))
+    )
+    return _PoolPlan(_read_only(starts), _read_only(widths), steps)
+
+
 def _pool_axis0(mat: np.ndarray, n_out: int) -> np.ndarray:
-    out = np.empty((n_out, mat.shape[1]), dtype=mat.dtype)
-    for i, (start, end) in enumerate(pool_bins(mat.shape[0], n_out)):
-        acc = mat[start].astype(mat.dtype, copy=True)
-        for k in range(start + 1, end):
-            acc += mat[k]
-        out[i] = acc / (end - start)
-    return out
+    plan = _pool_plan(mat.shape[0], n_out)
+    acc = mat[plan.starts]
+    for wider, rows in plan.steps:
+        np.add(acc, mat[rows], out=acc, where=wider)
+    acc /= plan.widths.astype(mat.dtype)[:, None]
+    return acc
 
 
 def adaptive_avg_pool(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
@@ -77,7 +109,7 @@ def adaptive_avg_pool(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
     rows = mat if mat.shape[0] == w_out else _pool_axis0(mat, w_out)
     if rows.shape[1] == h_out:
         return rows.copy() if rows is mat else rows
-    return np.ascontiguousarray(_pool_axis0(rows.T, h_out).T)
+    return np.ascontiguousarray(_pool_axis0(np.ascontiguousarray(rows.T), h_out).T)
 
 
 def nearest_upsample(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:

@@ -17,8 +17,10 @@ resulting maps can be cached to disk (see :mod:`multires.cache`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signal_io import Waveform
 
@@ -99,6 +101,14 @@ def hann_window(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
 
 
+@lru_cache(maxsize=64)
+def _analysis_window(length: int) -> np.ndarray:
+    """hann_window(length), computed once per length and read-only."""
+    w = hann_window(length)
+    w.flags.writeable = False
+    return w
+
+
 def frame_count(n_samples: int, hop_len: int) -> int:
     return n_samples // hop_len + 1
 
@@ -107,7 +117,10 @@ def stft(waveform: Waveform, resolution: ResolutionSpec) -> np.ndarray:
     """One-sided STFT, complex matrix of shape (frames, n_fft/2 + 1).
 
     Frames are Hann-windowed ``window_len``-sample slices of the
-    reflect-padded signal, zero-padded up to ``n_fft`` before the DFT.
+    reflect-padded signal, zero-padded up to ``n_fft`` before the DFT.  They
+    are read through a strided view of the padded signal (every ``hop_len``-th
+    window of a sliding window view), so the only frame-sized array built is
+    the windowed product that the FFT consumes.
     """
     x = waveform.samples
     n_fft = resolution.n_fft
@@ -120,15 +133,15 @@ def stft(waveform: Waveform, resolution: ResolutionSpec) -> np.ndarray:
     padded = np.pad(x, pad, mode="reflect")
 
     n_frames = frame_count(x.size, resolution.hop_len)
-    starts = np.arange(n_frames) * resolution.hop_len
-    idx = starts[:, None] + np.arange(resolution.window_len)[None, :]
-    frames = padded[idx] * hann_window(resolution.window_len)[None, :]
-    return np.fft.rfft(frames, n=n_fft, axis=1)
+    frames = sliding_window_view(padded, resolution.window_len)[:: resolution.hop_len][:n_frames]
+    return np.fft.rfft(frames * _analysis_window(resolution.window_len), n=n_fft, axis=1)
 
 
 def log_magnitude(spectrum: np.ndarray, resolution: ResolutionSpec) -> FeatureMap:
     """ln(max(|z|, 1e-10)) applied entrywise; the floor keeps silence finite."""
-    return FeatureMap(np.log(np.maximum(np.abs(spectrum), LOG_FLOOR)), resolution)
+    magnitude = np.abs(spectrum)
+    np.maximum(magnitude, LOG_FLOOR, out=magnitude)
+    return FeatureMap(np.log(magnitude, out=magnitude), resolution)
 
 
 def extract_all(waveform: Waveform, resolutions: list[ResolutionSpec]) -> list[FeatureMap]:

@@ -58,6 +58,30 @@ def pool_2d(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
     return np.array(list(zip(*pooled_cols)), dtype=float)
 
 
+def _pool_axis0_left_to_right(mat: np.ndarray, n_out: int) -> np.ndarray:
+    """Pool axis 0 bin by bin; each bin sum adds its rows strictly in order."""
+    n_in = mat.shape[0]
+    out = np.empty((n_out,) + mat.shape[1:], dtype=mat.dtype)
+    for i in range(n_out):
+        lo = (i * n_in) // n_out
+        hi = -((-(i + 1) * n_in) // n_out)
+        acc = mat[lo].copy()
+        for k in range(lo + 1, hi):
+            acc = acc + mat[k]
+        out[i] = acc / mat.dtype.type(hi - lo)
+    return out
+
+
+def pool_2d_left_to_right(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
+    """Adaptive average pooling, rows first, then columns, in the input dtype.
+
+    The reference for bit-exact comparison: every output entry is
+    ``(x[lo] + x[lo+1] + ... + x[hi-1]) / (hi - lo)`` evaluated left to right.
+    """
+    rows = _pool_axis0_left_to_right(mat, w_out)
+    return _pool_axis0_left_to_right(rows.T, h_out).T
+
+
 def sweep_rates(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, float, float]]:
     """(threshold, p_miss, p_fa) at every distinct score and +-inf, by counting."""
     bona = [s for s, l in zip(scores, labels) if l == 1]

@@ -11,7 +11,13 @@ from multires.alignment import (
 )
 from multires.stft import FeatureMap, ResolutionSpec
 
-from oracles import pool_2d
+from oracles import pool_2d, pool_2d_left_to_right
+
+# the toy resolutions and the 13-resolution grid of the resolution search
+TOY_AND_GRID13 = (
+    "128/32, 256/64, 512/128, 512/64, 1024/64, 1024/128, 1024/256, 2048/64, 2048/128, "
+    "2048/256, 2048/512, 400/160, 1724/130, 288/96, 480/120"
+)
 
 
 def test_pool_bins_cover_input_exactly():
@@ -65,6 +71,39 @@ def test_pool_accumulates_left_to_right():
             for k in range(hs + 1, he):
                 acc = acc + row[k]
             assert got[i, j] == acc / (he - hs)
+
+
+def _assert_pool_bit_exact(mat, w_out, h_out):
+    got = adaptive_avg_pool(mat, w_out, h_out)
+    want = pool_2d_left_to_right(mat, w_out, h_out)
+    assert got.dtype == mat.dtype and got.shape == (w_out, h_out)
+    assert got.tobytes() == want.tobytes(), (mat.shape, w_out, h_out, mat.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pool_bit_exact_all_sizes_to_9x9(dtype):
+    rng = np.random.default_rng(7)
+    for w_in in range(1, 10):
+        for h_in in range(1, 10):
+            mat = rng.standard_normal((w_in, h_in)).astype(dtype)
+            for w_out in range(1, 10):
+                for h_out in range(1, 10):
+                    _assert_pool_bit_exact(mat, w_out, h_out)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pool_bit_exact_real_map_shapes(dtype):
+    # every map shape of the toy and grid resolutions at 1.0 s and 2.0 s, 8 kHz
+    rng = np.random.default_rng(8)
+    shapes = set()
+    for text in TOY_AND_GRID13.split(","):
+        res = ResolutionSpec.parse(text)
+        for n_samples in (8000, 16000):
+            shapes.add((n_samples // res.hop_len + 1, res.n_bins))
+    assert {(126, 1025), (251, 65), (63, 257)} <= shapes
+    for shape in sorted(shapes):
+        mat = rng.standard_normal(shape).astype(dtype) * 4.0 - 9.0
+        _assert_pool_bit_exact(mat, 128, 129)
 
 
 def test_pool_casts_integer_input():

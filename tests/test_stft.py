@@ -72,6 +72,35 @@ def test_stft_matches_naive_dft_small():
         np.testing.assert_allclose(spec[t], naive_dft(frames[t]), atol=1e-10)
 
 
+GRID13 = (
+    "512/64, 512/128, 1024/64, 1024/128, 1024/256, 2048/64, 2048/128, "
+    "2048/256, 2048/512, 400/160, 1724/130, 288/96, 480/120"
+)
+
+
+@pytest.mark.parametrize("text", [t.strip() for t in GRID13.split(",")])
+def test_stft_bit_exact_against_gathered_frames(text):
+    res = ResolutionSpec.parse(text)
+    x = np.random.default_rng(9).standard_normal(8000) * 0.3
+    got = stft(Waveform(x, 8000), res)
+    frames = reflect_frames(x, hann_window(res.window_len), res.n_fft, res.hop_len)
+    want = np.fft.rfft(frames, n=res.n_fft, axis=1)
+    assert got.shape == want.shape == (frame_count(x.size, res.hop_len), res.n_bins)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_hann_window_is_fresh_and_stft_keeps_its_own():
+    res = ResolutionSpec(48, 16)
+    wave = Waveform(np.random.default_rng(10).standard_normal(500), 8000)
+    before = stft(wave, res)
+    w = hann_window(48)
+    assert w.flags.writeable
+    w[:] = 7.0
+    fresh = hann_window(48)
+    assert fresh.tobytes() == (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(48) / 48)).tobytes()
+    assert stft(wave, res).tobytes() == before.tobytes()
+
+
 def test_stft_zero_pads_window_to_fft_size():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(500)
