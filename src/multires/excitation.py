@@ -75,9 +75,11 @@ def bottleneck_weights(pooled: np.ndarray, params: ExcitationParams):
     Returns (scales, pre-ReLU activations, post-ReLU activations); the extra
     terms feed the backward pass.
     """
-    a = pooled @ params.fc1_weight.T + params.fc1_bias
+    # einsum, not `@`: BLAS takes another path for a one-row batch, and an
+    # utterance's gates must not depend on the size of its batch
+    a = np.einsum("nc,hc->nh", pooled, params.fc1_weight) + params.fc1_bias
     r = np.maximum(a, 0.0)
-    z = r @ params.fc2_weight.T + params.fc2_bias
+    z = np.einsum("nh,ch->nc", r, params.fc2_weight) + params.fc2_bias
     return _sigmoid(z), a, r
 
 

@@ -44,6 +44,25 @@ def test_bottleneck_weights_compositional():
     assert ((scales > 0) & (scales < 1)).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_outputs_do_not_depend_on_batch_size(dtype):
+    # every row gives the same bits alone (N=1) as inside a larger batch
+    rng = np.random.default_rng(11)
+    for c, n in [(3, 5), (13, 7), (16, 9), (32, 4)]:
+        p = init_excitation(c, max(1, c // 4), rng, dtype=dtype)
+        x = rng.standard_normal((n, c, 4, 5)).astype(dtype)
+        y, cache = excite_forward(x, p)
+        scales, a, r = bottleneck_weights(cache.pooled, p)
+        for i in range(n):
+            y1, cache1 = excite_forward(x[i : i + 1], p)
+            assert y1[0].tobytes() == y[i].tobytes()
+            assert cache1.scales[0].tobytes() == cache.scales[i].tobytes()
+            one = bottleneck_weights(cache.pooled[i : i + 1], p)
+            for got, want in zip(one, (scales, a, r)):
+                assert got.dtype == dtype
+                assert got[0].tobytes() == want[i].tobytes()
+
+
 def test_sigmoid_stable_at_large_magnitudes():
     p = ExcitationParams(np.eye(2) * 50, np.zeros(2), np.eye(2), np.zeros(2))
     pooled = np.array([[20.0, -20.0]])
