@@ -1,4 +1,9 @@
-"""Reshape per-resolution feature maps to a common size and stack them.
+"""Reshape one resolution's log-STFT map onto the split's common grid.
+
+:func:`multires.pipeline.extract_split` writes ``align_map`` of every map
+straight into channel ``m`` of the split's ``(N, M, W, H)`` array.  The grid
+is ``alignment.target`` or, for ``max``, :func:`max_grid`: the largest frame
+and bin counts over the resolutions, known from the sample count alone.
 
 Two alignment methods:
 
@@ -24,36 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .stft import FeatureMap, ResolutionSpec
+from .stft import ResolutionSpec, frame_count
 
 
 class AlignMethod(str, Enum):
     ADAPTIVE_POOL = "adaptive_pool"
     NEAREST = "nearest"
-
-
-@dataclass
-class FeatureStack:
-    """M aligned feature maps as one (M, W, H) tensor; channel m belongs to resolutions[m]."""
-
-    data: np.ndarray
-    resolutions: tuple[ResolutionSpec, ...]
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data)
-        self.resolutions = tuple(self.resolutions)
-        if self.data.ndim != 3:
-            raise ValueError("feature stack must be 3-D (channels x frames x bins)")
-        if len(self.resolutions) != self.data.shape[0] or not self.resolutions:
-            raise ValueError(
-                f"{len(self.resolutions)} resolutions for {self.data.shape[0]} channels"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("feature stack contains non-finite entries")
-
-    @property
-    def spatial_shape(self) -> tuple[int, int]:
-        return self.data.shape[1], self.data.shape[2]
 
 
 def pool_bins(n_in: int, n_out: int) -> list[tuple[int, int]]:
@@ -124,28 +105,16 @@ def nearest_upsample(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
     return mat[np.ix_(wi, hi)].copy()
 
 
+def max_grid(resolutions: tuple[ResolutionSpec, ...], n_samples: int) -> tuple[int, int]:
+    """The ``alignment.target = max`` grid: the largest frame and bin counts
+    of the resolutions' maps over an ``n_samples``-sample signal."""
+    return (
+        max(frame_count(n_samples, r.hop_len) for r in resolutions),
+        max(r.n_bins for r in resolutions),
+    )
+
+
 def align_map(mat: np.ndarray, method: AlignMethod, w_out: int, h_out: int) -> np.ndarray:
     if method is AlignMethod.ADAPTIVE_POOL:
         return adaptive_avg_pool(mat, w_out, h_out)
     return nearest_upsample(mat, w_out, h_out)
-
-
-def align_and_stack(
-    maps: list[FeatureMap],
-    method: AlignMethod = AlignMethod.ADAPTIVE_POOL,
-    target: tuple[int, int] | None = None,
-) -> FeatureStack:
-    """Align every map to a common size and stack along a channel axis.
-
-    The default target is (max frames, max bins) over the input maps; an
-    explicit target overrides it, which is how desk-scale runs cap memory.
-    """
-    if not maps:
-        raise ValueError("maps must be non-empty")
-    if target is None:
-        w_out = max(m.shape[0] for m in maps)
-        h_out = max(m.shape[1] for m in maps)
-    else:
-        w_out, h_out = target
-    data = np.stack([align_map(m.data, method, w_out, h_out) for m in maps])
-    return FeatureStack(data, tuple(m.resolution for m in maps))

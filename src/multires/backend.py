@@ -37,16 +37,19 @@ from .excitation import (
 )
 
 
+# The head's two logits, [spoof, bona fide]: what cross-entropy and scoring read.
+N_CLASSES = 2
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     stem_channels: int = 16
     stages: int = 3
     blocks_per_stage: int = 2
     se_reduction: int = 4
-    n_classes: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("stem_channels", "stages", "blocks_per_stage", "se_reduction", "n_classes"):
+        for name in ("stem_channels", "stages", "blocks_per_stage", "se_reduction"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.se_reduction > self.stem_channels:
@@ -94,7 +97,7 @@ class BlockParams:
 class BackendParams:
     stem: ConvParams
     blocks: list[BlockParams]
-    fc_weight: np.ndarray  # (n_classes, final_channels)
+    fc_weight: np.ndarray  # (N_CLASSES, final_channels)
     fc_bias: np.ndarray
 
 
@@ -130,8 +133,8 @@ def init_backend(
             se = init_excitation(ch, max(1, ch // config.se_reduction), rng, dtype)
             blocks.append(BlockParams(conv1, conv2, proj, se, stride))
             prev = ch
-    fc_w = _uniform((config.n_classes, prev), prev, rng, dtype)
-    fc_b = np.zeros(config.n_classes, dtype=dtype)
+    fc_w = _uniform((N_CLASSES, prev), prev, rng, dtype)
+    fc_b = np.zeros(N_CLASSES, dtype=dtype)
     return BackendParams(stem, blocks, fc_w, fc_b)
 
 
@@ -374,7 +377,7 @@ class BackendCache:
 
 
 def backend_forward(x: np.ndarray, params: BackendParams) -> tuple[np.ndarray, BackendCache]:
-    """Stack batch (N, M, W, H) -> logits (N, n_classes) plus backward cache."""
+    """Stack batch (N, M, W, H) -> logits (N, N_CLASSES) plus backward cache."""
     stem_pre = conv2d_forward(x, params.stem, 1)
     h = relu(stem_pre)
     cache = BackendCache(x, stem_pre, [], None, None, params)
@@ -391,7 +394,7 @@ def backend_forward(x: np.ndarray, params: BackendParams) -> tuple[np.ndarray, B
 
 
 def backend_backward(cache: BackendCache, d_logits: np.ndarray) -> tuple[np.ndarray, BackendParams]:
-    """d_logits (N, n_classes) -> input-stack gradient plus parameter gradients."""
+    """d_logits (N, N_CLASSES) -> input-stack gradient plus parameter gradients."""
     params = cache.params
     d_fc_w = d_logits.T @ cache.pooled
     d_fc_b = d_logits.sum(axis=0)

@@ -1,8 +1,8 @@
 """Full model = resolution weighting + SE-residual backend, plus checkpoints.
 
 The checkpoint format (magic "MRCK") stores the backend configuration, the
-resolution list, and every parameter as float64 little-endian in one fixed
-traversal order:
+class count (always ``N_CLASSES`` = 2), the resolution list, and every
+parameter as float64 little-endian in one fixed traversal order:
 
     predictor fc1_w, fc1_b, fc2_w, fc2_b,
     stem w, b,
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .backend import (
+    N_CLASSES,
     BackendConfig,
     BackendParams,
     BackendCache,
@@ -82,7 +83,7 @@ def init_model(
 
 
 def model_forward(stacks: np.ndarray, model: Model) -> tuple[np.ndarray, ModelCache]:
-    """Aligned stacks (N, M, W, H) -> logits (N, n_classes)."""
+    """Aligned stacks (N, M, W, H) -> logits (N, N_CLASSES)."""
     if stacks.ndim != 4 or stacks.shape[1] != model.n_channels:
         raise ValueError(
             f"expected stacks (N, {model.n_channels}, W, H), got shape {stacks.shape}"
@@ -125,22 +126,14 @@ def named_params(
     return out + [("head.w", backend.fc_weight), ("head.b", backend.fc_bias)]
 
 
-def param_list(predictor: ExcitationParams, backend: BackendParams) -> list[np.ndarray]:
-    """Live parameter tensors in checkpoint traversal order."""
-    return [arr for _, arr in named_params(predictor, backend)]
-
-
-def param_names(predictor: ExcitationParams, backend: BackendParams) -> list[str]:
-    """Names parallel to :func:`param_list` (for diagnostics)."""
-    return [name for name, _ in named_params(predictor, backend)]
-
-
 def model_params(model: Model) -> list[np.ndarray]:
-    return param_list(model.predictor, model.backend)
+    """Live parameter tensors in checkpoint traversal order."""
+    return [arr for _, arr in named_params(model.predictor, model.backend)]
 
 
 def grad_list(grads: ModelGrads) -> list[np.ndarray]:
-    return param_list(grads.predictor, grads.backend)
+    """Gradients parallel to :func:`model_params`."""
+    return [arr for _, arr in named_params(grads.predictor, grads.backend)]
 
 
 def cast_model(model: Model, dtype: np.dtype) -> Model:
@@ -154,7 +147,7 @@ def cast_model(model: Model, dtype: np.dtype) -> Model:
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
     parts = [MAGIC, struct.pack("<H", VERSION)]
-    parts.append(struct.pack("<IIIII", *astuple(model.config)))
+    parts.append(struct.pack("<IIIII", *astuple(model.config), N_CLASSES))
     parts.append(struct.pack("<II", model.n_channels, model.predictor.hidden))
     for res in model.resolutions:
         parts.append(struct.pack("<II", res.window_len, res.hop_len))
@@ -172,7 +165,7 @@ def load_checkpoint(path: str | Path) -> Model:
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
     off = 6
     try:
-        config_fields = struct.unpack_from("<IIIII", buf, off)
+        *config_fields, classes = struct.unpack_from("<IIIII", buf, off)
         off += 20
         m, hidden = struct.unpack_from("<II", buf, off)
         off += 8
@@ -184,6 +177,8 @@ def load_checkpoint(path: str | Path) -> Model:
         config = BackendConfig(*config_fields)
     except (struct.error, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad header ({exc})") from exc
+    if classes != N_CLASSES:
+        raise CheckpointFormatError(f"{path}: header has {classes} classes, expected {N_CLASSES}")
     if hidden != hidden_width(m):
         raise CheckpointFormatError(
             f"{path}: predictor hidden width {hidden} does not match {hidden_width(m)} for M={m}"

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import align_and_stack
+from .alignment import align_map, max_grid
 from .cache import FeatureCache, read_cache, write_cache
 from .config import AppConfig, with_resolutions
 from .corpus import SPLITS, generate_corpus
@@ -37,8 +37,8 @@ from .metrics import (
 )
 from .model import Model, cast_model, load_checkpoint, save_checkpoint
 from .pruning import PruneResult, format_report, prune
-from .signal_io import CropMode, Label, ScoreRecord, read_protocol, read_wav, unify_length, write_scores
-from .stft import extract_all
+from .signal_io import Label, ScoreRecord, read_protocol, read_wav, sample_count, unify_length, write_scores
+from .stft import log_magnitude, stft
 from .trainer import TrainResult, score_cache, train
 from .weighting import mean_weights_over_set
 
@@ -82,8 +82,10 @@ def _crop_rng(config: AppConfig, epoch: int, index: int) -> np.random.Generator:
 
 
 def extract_split(config: AppConfig, split: str, epoch: int = 0) -> FeatureCache:
-    """Protocol -> unified waveforms -> log-STFT maps -> aligned stacks.
+    """Protocol -> unified waveforms -> log-STFT maps -> the split's aligned stacks.
 
+    The split's (N, M, W, H) float32 array is allocated first, and channel m
+    of utterance i is filled in place with the aligned map of resolution m.
     `epoch` selects the crop stream for the train split; extraction to disk
     always uses epoch 0, and per-epoch recropping reuses later streams.
     """
@@ -93,22 +95,23 @@ def extract_split(config: AppConfig, split: str, epoch: int = 0) -> FeatureCache
     if not protocol.is_file():
         raise PipelineError(f"missing protocol {protocol}; run 'gen-data' first")
     entries = read_protocol(protocol)
-    mode = CropMode.TRAIN_RANDOM if split == "train" else CropMode.EVAL_LEADING
-    stacks = None
-    ids: list[str] = []
-    labels = np.empty(len(entries), dtype=np.uint8)
+    n_samples = sample_count(config.train.target_duration_s, config.corpus.sample_rate)
+    w, h = config.align_target or max_grid(config.resolutions, n_samples)
+    stacks = np.empty((len(entries), len(config.resolutions), w, h), dtype=np.float32)
     for i, entry in enumerate(entries):
         wave = read_wav(config.corpus_dir / entry.path, expect_sample_rate=config.corpus.sample_rate)
-        rng = _crop_rng(config, epoch, i) if mode is CropMode.TRAIN_RANDOM else None
-        wave = unify_length(wave, config.train.target_duration_s, mode, rng)
-        maps = extract_all(wave, config.resolutions)
-        stack = align_and_stack(maps, config.align_method, config.align_target)
-        if stacks is None:
-            stacks = np.empty((len(entries),) + stack.data.shape, dtype=np.float32)
-        stacks[i] = stack.data.astype(np.float32)
-        ids.append(entry.utt_id)
-        labels[i] = int(entry.label)
-    return FeatureCache(config.resolutions, stacks, tuple(ids), labels)
+        rng = _crop_rng(config, epoch, i) if split == "train" else None
+        wave = unify_length(wave, config.train.target_duration_s, rng)
+        for m, res in enumerate(config.resolutions):
+            stacks[i, m] = align_map(log_magnitude(stft(wave, res)), config.align_method, w, h)
+    # a float64 sum of float32 values is finite exactly when every value is
+    finite = np.isfinite(stacks.sum(axis=(1, 2, 3), dtype=np.float64))
+    if not finite.all():
+        bad = entries[int(np.argmin(finite))].utt_id
+        raise PipelineError(f"{split} utterance {bad!r} has non-finite features")
+    ids = tuple(entry.utt_id for entry in entries)
+    labels = np.array([int(entry.label) for entry in entries], dtype=np.uint8)
+    return FeatureCache(config.resolutions, stacks, ids, labels)
 
 
 def run_extract(config: AppConfig, splits: tuple[str, ...] = SPLITS) -> dict[str, Path]:
@@ -140,8 +143,7 @@ def _needs_recrop(config: AppConfig) -> bool:
         return False
     for entry in read_protocol(protocol):
         wave = read_wav(config.corpus_dir / entry.path)
-        target = int(round(config.train.target_duration_s * wave.sample_rate))
-        if wave.samples.size != target:
+        if wave.samples.size != sample_count(config.train.target_duration_s, wave.sample_rate):
             return True
     return False
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -88,11 +88,6 @@ class ScoreRecord:
     utt_id: str
     label: Label
     score: float
-
-
-class CropMode(Enum):
-    TRAIN_RANDOM = "train_random"
-    EVAL_LEADING = "eval_leading"
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +167,23 @@ def write_wav(path: str | Path, waveform: Waveform) -> None:
 # Length unification
 
 
+def sample_count(seconds: float, sample_rate: int) -> int:
+    """Length in samples of ``seconds`` of audio: ``round(seconds * sample_rate)``."""
+    return int(round(seconds * sample_rate))
+
+
 def unify_length(
-    waveform: Waveform,
-    target_s: float,
-    mode: CropMode,
-    rng: np.random.Generator | None = None,
+    waveform: Waveform, target_s: float, rng: np.random.Generator | None = None
 ) -> Waveform:
     """Force a waveform to exactly ``round(target_s * sample_rate)`` samples.
 
     Shorter utterances are tiled end-to-end and truncated; longer ones are
-    cropped, either to a uniformly random contiguous segment
-    (``TRAIN_RANDOM``, requires ``rng``) or to the leading segment
-    (``EVAL_LEADING``, deterministic).
+    cropped to the leading segment when ``rng`` is None (deterministic), or
+    to a uniformly random contiguous segment drawn from ``rng``.
     """
     if target_s <= 0:
         raise ValueError(f"target_s must be positive, got {target_s}")
-    target_len = int(round(target_s * waveform.sample_rate))
+    target_len = sample_count(target_s, waveform.sample_rate)
     if target_len < 1:
         raise ValueError(f"target length rounds to zero samples at rate {waveform.sample_rate}")
 
@@ -199,12 +195,7 @@ def unify_length(
         samples = np.tile(waveform.samples, reps)[:target_len]
         return Waveform(samples, waveform.sample_rate)
 
-    if mode is CropMode.TRAIN_RANDOM:
-        if rng is None:
-            raise ValueError("TRAIN_RANDOM cropping requires an rng")
-        start = int(rng.integers(0, n - target_len + 1))
-    else:
-        start = 0
+    start = 0 if rng is None else int(rng.integers(0, n - target_len + 1))
     return Waveform(waveform.samples[start : start + target_len], waveform.sample_rate)
 
 

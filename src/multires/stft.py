@@ -10,8 +10,10 @@ Conventions
   ``t * hop_len``, and the frame count is ``len(signal) // hop_len + 1``
 * log magnitude uses ``ln(max(|z|, 1e-10))`` so silence stays finite
 
-Nothing here is trainable; extraction is a pure forward computation and the
-resulting maps can be cached to disk (see :mod:`multires.cache`).
+Nothing here is trainable. ``log_magnitude(stft(wave, res))`` is one
+resolution's (frames, bins) map as a plain float64 array;
+:func:`multires.pipeline.extract_split` aligns each map onto the split's grid
+(see :mod:`multires.alignment`) and caches the stacks to disk.
 """
 
 from __future__ import annotations
@@ -69,30 +71,6 @@ class ResolutionSpec:
         return f"{self.window_len}/{self.hop_len}"
 
 
-@dataclass
-class FeatureMap:
-    """Log-magnitude spectrogram for one resolution: time frames x frequency bins."""
-
-    data: np.ndarray
-    resolution: ResolutionSpec
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 2:
-            raise ValueError("feature map must be 2-D (frames x bins)")
-        if self.data.shape[1] != self.resolution.n_bins:
-            raise ValueError(
-                f"bin count {self.data.shape[1]} does not match resolution "
-                f"{self.resolution} (expected {self.resolution.n_bins})"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("feature map contains non-finite entries")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-
 def hann_window(length: int) -> np.ndarray:
     """Periodic Hann window: w[n] = 0.5 - 0.5 cos(2 pi n / length)."""
     if length < 1:
@@ -137,15 +115,8 @@ def stft(waveform: Waveform, resolution: ResolutionSpec) -> np.ndarray:
     return np.fft.rfft(frames * _analysis_window(resolution.window_len), n=n_fft, axis=1)
 
 
-def log_magnitude(spectrum: np.ndarray, resolution: ResolutionSpec) -> FeatureMap:
+def log_magnitude(spectrum: np.ndarray) -> np.ndarray:
     """ln(max(|z|, 1e-10)) applied entrywise; the floor keeps silence finite."""
     magnitude = np.abs(spectrum)
     np.maximum(magnitude, LOG_FLOOR, out=magnitude)
-    return FeatureMap(np.log(magnitude, out=magnitude), resolution)
-
-
-def extract_all(waveform: Waveform, resolutions: list[ResolutionSpec]) -> list[FeatureMap]:
-    """One log-magnitude map per resolution, in input order."""
-    if not resolutions:
-        raise ValueError("resolutions must be non-empty")
-    return [log_magnitude(stft(waveform, r), r) for r in resolutions]
+    return np.log(magnitude, out=magnitude)

@@ -12,7 +12,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from multires.alignment import adaptive_avg_pool
 from multires.backend import BackendConfig
@@ -26,7 +25,7 @@ from multires.model import (
     model_backward,
     model_forward,
     model_params,
-    param_names,
+    named_params,
     save_checkpoint,
 )
 from multires.pruning import prune
@@ -112,7 +111,7 @@ def test_criterion_3_end_to_end_gradient_check():
 
     analytic = grad_list(grads)
     numeric = central_difference(loss, model_params(model), step=1e-5)
-    names = param_names(model.predictor, model.backend)
+    names = [name for name, _ in named_params(model.predictor, model.backend)]
     worst_rel = 0.0
     for name, a, n in zip(names, analytic, numeric):
         np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-7, err_msg=name)

@@ -3,21 +3,24 @@ import pytest
 
 from multires.alignment import (
     AlignMethod,
-    FeatureStack,
     adaptive_avg_pool,
-    align_and_stack,
+    align_map,
+    max_grid,
     nearest_upsample,
     pool_bins,
 )
-from multires.stft import FeatureMap, ResolutionSpec
+from multires.signal_io import Waveform
+from multires.stft import ResolutionSpec, stft
 
 from oracles import pool_2d, pool_2d_left_to_right
 
 # the toy resolutions and the 13-resolution grid of the resolution search
-TOY_AND_GRID13 = (
-    "128/32, 256/64, 512/128, 512/64, 1024/64, 1024/128, 1024/256, 2048/64, 2048/128, "
+TOY = "128/32, 256/64, 512/128"
+GRID13 = (
+    "512/64, 512/128, 1024/64, 1024/128, 1024/256, 2048/64, 2048/128, "
     "2048/256, 2048/512, 400/160, 1724/130, 288/96, 480/120"
 )
+TOY_AND_GRID13 = f"{TOY}, {GRID13}"
 
 
 def test_pool_bins_cover_input_exactly():
@@ -125,39 +128,32 @@ def test_nearest_upsample_identity():
     np.testing.assert_array_equal(nearest_upsample(mat, 2, 3), mat)
 
 
-def _map(shape, res, seed):
-    rng = np.random.default_rng(seed)
-    return FeatureMap(rng.standard_normal((shape, res.n_bins)), res)
+def _parse(text):
+    return tuple(ResolutionSpec.parse(t) for t in text.split(","))
 
 
-def test_align_and_stack_max_rule():
-    r1, r2 = ResolutionSpec(16, 4), ResolutionSpec(32, 16)
-    maps = [_map(21, r1, 0), _map(6, r2, 1)]  # shapes (21, 9) and (6, 17)
-    stack = align_and_stack(maps)
-    assert stack.data.shape == (2, 21, 17)
-    assert stack.resolutions == (r1, r2)
-    # channel order follows input order
-    np.testing.assert_allclose(stack.data[0], adaptive_avg_pool(maps[0].data, 21, 17))
-    np.testing.assert_allclose(stack.data[1], adaptive_avg_pool(maps[1].data, 21, 17))
+def test_max_grid_matches_stft_map_shapes():
+    # the max rule is read off the sizes alone, yet equals the largest frame
+    # and bin counts of the maps that stft returns
+    rng = np.random.default_rng(3)
+    for n_samples in (8000, 16000):  # 1.0 s and 2.0 s at 8 kHz
+        wave = Waveform(rng.standard_normal(n_samples), 8000)
+        for resolutions in (_parse(TOY), _parse(GRID13)):
+            shapes = [stft(wave, r).shape for r in resolutions]
+            want = (max(s[0] for s in shapes), max(s[1] for s in shapes))
+            assert max_grid(resolutions, n_samples) == want
+    toy_shapes = [stft(Waveform(rng.standard_normal(8000), 8000), r).shape for r in _parse(TOY)]
+    assert toy_shapes == [(251, 65), (126, 129), (63, 257)]
+    assert max_grid(_parse(TOY), 8000) == (251, 257)
+    # each axis takes its own maximum: (21, 9) and (6, 17) give (21, 17)
+    assert max_grid((ResolutionSpec(16, 4), ResolutionSpec(32, 16)), 80) == (21, 17)
 
 
-def test_align_and_stack_explicit_target():
-    r1, r2 = ResolutionSpec(16, 4), ResolutionSpec(32, 16)
-    stack = align_and_stack([_map(21, r1, 0), _map(6, r2, 1)], target=(8, 8))
-    assert stack.data.shape == (2, 8, 8)
-    assert stack.spatial_shape == (8, 8)
-
-
-def test_align_and_stack_nearest_method():
-    r1, r2 = ResolutionSpec(16, 4), ResolutionSpec(32, 16)
-    maps = [_map(4, r1, 0), _map(6, r2, 1)]
-    stack = align_and_stack(maps, method=AlignMethod.NEAREST)
-    assert stack.data.shape == (2, 6, 17)
-    np.testing.assert_array_equal(stack.data[0], nearest_upsample(maps[0].data, 6, 17))
-
-
-def test_feature_stack_validation():
-    with pytest.raises(ValueError):
-        FeatureStack(np.zeros((2, 3, 4)), (ResolutionSpec(8, 4),))
-    with pytest.raises(ValueError):
-        FeatureStack(np.full((1, 2, 2), np.nan), (ResolutionSpec(8, 4),))
+def test_align_map_methods():
+    mat = np.random.default_rng(4).standard_normal((6, 17))
+    for w_out, h_out in ((21, 17), (8, 8), (6, 17)):
+        pooled = align_map(mat, AlignMethod.ADAPTIVE_POOL, w_out, h_out)
+        assert pooled.tobytes() == adaptive_avg_pool(mat, w_out, h_out).tobytes()
+        nearest = align_map(mat, AlignMethod.NEAREST, w_out, h_out)
+        assert nearest.shape == (w_out, h_out)
+        np.testing.assert_array_equal(nearest, nearest_upsample(mat, w_out, h_out))

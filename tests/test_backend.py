@@ -16,7 +16,6 @@ from multires.backend import (
     init_backend,
     relu,
 )
-from multires.model import grad_list, param_list
 
 from oracles import central_difference, naive_conv2d
 

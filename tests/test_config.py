@@ -6,7 +6,6 @@ from multires.alignment import AlignMethod
 from multires.config import (
     _DEFAULTS,
     DEFAULT_RESOLUTIONS,
-    AppConfig,
     ConfigError,
     default_config,
     load_config,
@@ -54,6 +53,12 @@ def test_parse_overrides_and_comments():
 def test_unknown_key_rejected_with_location():
     with pytest.raises(ConfigError, match=r"<config>:2: unknown config key 'train\.lr'"):
         parse_config("corpus.seed = 1\ntrain.lr = 0.1\n")
+
+
+def test_n_classes_key_rejected():
+    # the head always has two logits, spoof and bona fide, so the key is gone
+    with pytest.raises(ConfigError, match=r"unknown config key 'backend\.n_classes'"):
+        parse_config("backend.n_classes = 2\n")
 
 
 def test_missing_equals_rejected():
@@ -140,7 +145,6 @@ NON_DEFAULTS = {
     "backend.stages": "4",
     "backend.blocks_per_stage": "1",
     "backend.se_reduction": "8",
-    "backend.n_classes": "3",
     "tdcf.c1": "2.0",
     "tdcf.c2": "3.0",
     "weights.split": "train",

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
 Names listed in a module's ``__all__`` count as used, so deliberate
 re-exports stay possible; anything else imported but never read is dead.
@@ -12,6 +12,7 @@ from pathlib import Path
 import multires
 
 PACKAGE_DIR = Path(multires.__file__).parent
+TESTS_DIR = Path(__file__).parent
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -38,13 +39,14 @@ def _used_names(tree: ast.Module) -> set[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted(PACKAGE_DIR.glob("*.py"))
-    assert modules, f"no modules found under {PACKAGE_DIR}"
     unused = []
-    for path in modules:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        used = _used_names(tree)
-        for name, lineno in _imported_names(tree).items():
-            if name not in used:
-                unused.append(f"{path.name}:{lineno}: {name}")
+    for directory in (PACKAGE_DIR, TESTS_DIR):
+        modules = sorted(directory.glob("*.py"))
+        assert modules, f"no modules found under {directory}"
+        for path in modules:
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            used = _used_names(tree)
+            for name, lineno in _imported_names(tree).items():
+                if name not in used:
+                    unused.append(f"{directory.name}/{path.name}:{lineno}: {name}")
     assert unused == []

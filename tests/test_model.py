@@ -14,7 +14,7 @@ from multires.model import (
     model_backward,
     model_forward,
     model_params,
-    param_names,
+    named_params,
     save_checkpoint,
 )
 from multires.stft import ResolutionSpec
@@ -35,7 +35,7 @@ def test_init_model_channel_count_follows_resolutions():
 def test_param_list_and_names_align():
     model = init_model(RES, CFG, np.random.default_rng(0))
     params = model_params(model)
-    names = param_names(model.predictor, model.backend)
+    names = [name for name, _ in named_params(model.predictor, model.backend)]
     assert len(params) == len(names)
     assert names[0] == "predictor.fc1_w"
     assert names[4] == "stem.w"
@@ -158,6 +158,19 @@ def test_load_rejects_inconsistent_hidden_width(tmp_path):
     path.write_bytes(bytes(buf))
     with pytest.raises(CheckpointFormatError, match="hidden width"):
         load_checkpoint(path)
+
+
+def test_load_rejects_class_count_other_than_two(tmp_path):
+    model = init_model(RES, CFG, np.random.default_rng(13))
+    path = tmp_path / "c.mrck"
+    save_checkpoint(model, path)
+    buf = bytearray(path.read_bytes())
+    assert struct.unpack_from("<I", buf, 22) == (2,)  # class count field
+    for classes in (1, 3):
+        struct.pack_into("<I", buf, 22, classes)
+        path.write_bytes(bytes(buf))
+        with pytest.raises(CheckpointFormatError, match=f"{classes} classes"):
+            load_checkpoint(path)
 
 
 def test_init_order_predictor_before_backend():

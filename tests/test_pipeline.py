@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from multires import pipeline
+from multires.alignment import align_map
 from multires.config import parse_config
 from multires.pipeline import (
     PipelineError,
@@ -19,10 +21,11 @@ from multires.pipeline import (
     run_prune,
     run_train,
     weight_report,
+    _crop_rng,
     _needs_recrop,
 )
-from multires.signal_io import read_scores
-from multires.stft import ResolutionSpec
+from multires.signal_io import read_protocol, read_scores, read_wav, unify_length
+from multires.stft import ResolutionSpec, log_magnitude, stft
 from multires.weighting import mean_weights_over_set
 
 
@@ -127,6 +130,56 @@ def test_train_crops_differ_by_epoch(run_dir):
     b = extract_split(config, "train", epoch=1)
     assert a.stacks.shape == b.stacks.shape
     assert not np.array_equal(a.stacks, b.stacks)
+
+
+def _assert_channels(config, split, grid, epoch=0):
+    # channel m of utterance i is resolution m's map, aligned and cast to float32
+    cache = extract_split(config, split, epoch=epoch)
+    entries = read_protocol(config.corpus_dir / f"{split}_protocol.tsv")
+    assert cache.stacks.shape == (len(entries), len(config.resolutions)) + grid
+    assert cache.stacks.dtype == np.float32
+    assert cache.ids == tuple(e.utt_id for e in entries)
+    assert cache.labels.tolist() == [int(e.label) for e in entries]
+    for i, entry in enumerate(entries):
+        rng = _crop_rng(config, epoch, i) if split == "train" else None
+        wave = unify_length(read_wav(config.corpus_dir / entry.path), config.train.target_duration_s, rng)
+        for m, res in enumerate(config.resolutions):
+            want = align_map(log_magnitude(stft(wave, res)), config.align_method, *grid)
+            assert cache.stacks[i, m].tobytes() == want.astype(np.float32).tobytes(), (i, m)
+
+
+def test_extract_split_explicit_target(run_dir):
+    tmp_path, config = run_dir
+    _assert_channels(config, "train", (16, 17), epoch=1)
+    _assert_channels(_config(tmp_path, **{"alignment.target": "8x8"}), "dev", (8, 8))
+
+
+def test_extract_split_nearest_max(run_dir):
+    tmp_path, _ = run_dir
+    config = _config(tmp_path, **{"alignment.target": "max", "alignment.method": "nearest"})
+    # 0.25 s at 2 kHz is 500 samples: 32/8 gives 63 frames, 64/16 gives 33 bins
+    _assert_channels(config, "dev", (63, 33))
+
+
+def test_extract_split_rejects_non_finite_features(run_dir, monkeypatch):
+    _, config = run_dir
+    entries = read_protocol(config.corpus_dir / "dev_protocol.tsv")
+    m = len(config.resolutions)
+    calls = []
+
+    def poisoned(spectrum):
+        out = log_magnitude(spectrum)
+        if len(calls) == 2 * m + 1:  # utterance 2, second resolution
+            out[3, 4] = np.inf
+        if len(calls) == 3 * m:  # utterance 3, first resolution
+            out[:] = np.nan
+        calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(pipeline, "log_magnitude", poisoned)
+    with pytest.raises(PipelineError, match=f"dev utterance '{entries[2].utt_id}' has non-finite"):
+        extract_split(config, "dev")
+    assert len(calls) == len(entries) * m
 
 
 def test_needs_recrop_logic(run_dir, tmp_path):

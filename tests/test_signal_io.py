@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from multires.signal_io import (
-    CropMode,
     Label,
     ProtocolEntry,
     ProtocolError,
@@ -76,13 +75,13 @@ def test_read_wav_rejects_garbage(tmp_path):
 
 def test_unify_length_tiles_short_input():
     wave = Waveform(np.array([0.1, 0.2, 0.3]), 10)
-    out = unify_length(wave, 0.8, CropMode.EVAL_LEADING)
+    out = unify_length(wave, 0.8)
     np.testing.assert_allclose(out.samples, [0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.1, 0.2])
 
 
 def test_unify_length_leading_crop():
     wave = Waveform(np.arange(10) / 10.0, 10)
-    out = unify_length(wave, 0.4, CropMode.EVAL_LEADING)
+    out = unify_length(wave, 0.4)
     np.testing.assert_array_equal(out.samples, np.arange(4) / 10.0)
 
 
@@ -91,22 +90,17 @@ def test_unify_length_random_crop_is_contiguous():
     rng = np.random.default_rng(7)
     starts = set()
     for _ in range(50):
-        out = unify_length(wave, 0.2, CropMode.TRAIN_RANDOM, rng)
+        out = unify_length(wave, 0.2, rng)
         assert len(out) == 20
         np.testing.assert_array_equal(np.diff(out.samples), 1.0)
         starts.add(int(out.samples[0]))
     assert len(starts) > 10  # actually random, not pinned to one offset
 
 
-def test_unify_length_random_crop_requires_rng():
-    wave = Waveform(np.zeros(100), 100)
-    with pytest.raises(ValueError, match="rng"):
-        unify_length(wave, 0.1, CropMode.TRAIN_RANDOM)
-
-
 def test_unify_length_noop_when_exact():
     wave = Waveform(np.zeros(80), 80)
-    assert unify_length(wave, 1.0, CropMode.EVAL_LEADING) is wave
+    assert unify_length(wave, 1.0) is wave
+    assert unify_length(wave, 1.0, np.random.default_rng(0)) is wave
 
 
 def test_protocol_round_trip(tmp_path):

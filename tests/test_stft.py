@@ -4,9 +4,7 @@ import pytest
 from multires.signal_io import Waveform
 from multires.stft import (
     LOG_FLOOR,
-    FeatureMap,
     ResolutionSpec,
-    extract_all,
     frame_count,
     hann_window,
     log_magnitude,
@@ -131,21 +129,9 @@ def test_log_magnitude_floor():
     res = ResolutionSpec(16, 8)
     spec = np.zeros((3, res.n_bins), dtype=complex)
     spec[0, 0] = 2.0
-    fmap = log_magnitude(spec, res)
-    assert fmap.data[0, 0] == pytest.approx(np.log(2.0))
-    assert (fmap.data[1:] == np.log(LOG_FLOOR)).all()
-    assert np.isfinite(fmap.data).all()
+    fmap = log_magnitude(spec)
+    assert fmap.shape == spec.shape and fmap.dtype == np.float64
+    assert fmap[0, 0] == pytest.approx(np.log(2.0))
+    assert (fmap[1:] == np.log(LOG_FLOOR)).all()
+    assert np.isfinite(fmap).all()
 
-
-def test_feature_map_validates_bin_count():
-    with pytest.raises(ValueError, match="bin count"):
-        FeatureMap(np.zeros((4, 10)), ResolutionSpec(16, 8))
-
-
-def test_extract_all_shapes_and_order():
-    rng = np.random.default_rng(2)
-    wave = Waveform(rng.standard_normal(8000), 8000)
-    resolutions = [ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128)]
-    maps = extract_all(wave, resolutions)
-    assert [m.resolution for m in maps] == resolutions
-    assert [m.shape for m in maps] == [(251, 65), (126, 129), (63, 257)]

@@ -6,7 +6,6 @@ from multires.cache import FeatureCache
 from multires.model import model_params
 from multires.stft import ResolutionSpec
 from multires.trainer import (
-    OptimizerState,
     TrainConfig,
     TrainingDivergedError,
     adam_step,
