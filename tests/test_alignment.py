@@ -142,11 +142,21 @@ def test_max_grid_matches_stft_map_shapes():
             shapes = [stft(wave, r).shape for r in resolutions]
             want = (max(s[0] for s in shapes), max(s[1] for s in shapes))
             assert max_grid(resolutions, n_samples) == want
-    toy_shapes = [stft(Waveform(rng.standard_normal(8000), 8000), r).shape for r in _parse(TOY)]
-    assert toy_shapes == [(251, 65), (126, 129), (63, 257)]
     assert max_grid(_parse(TOY), 8000) == (251, 257)
-    # each axis takes its own maximum: (21, 9) and (6, 17) give (21, 17)
-    assert max_grid((ResolutionSpec(16, 4), ResolutionSpec(32, 16)), 80) == (21, 17)
+
+
+def test_align_and_stack_max_rule():
+    # each axis takes its own maximum: maps (21, 9) and (6, 17) give (21, 17),
+    # and stacking the aligned maps keeps the resolutions' order
+    r1, r2 = ResolutionSpec(16, 4), ResolutionSpec(32, 16)
+    wave = Waveform(np.random.default_rng(5).standard_normal(80), 8000)
+    maps = [stft(wave, r1), stft(wave, r2)]
+    assert [m.shape for m in maps] == [(21, 9), (6, 17)]
+    assert max_grid((r1, r2), 80) == (21, 17)
+    stack = np.stack([align_map(m, AlignMethod.ADAPTIVE_POOL, 21, 17) for m in maps])
+    assert stack.shape == (2, 21, 17)
+    np.testing.assert_array_equal(stack[0], adaptive_avg_pool(maps[0], 21, 17))
+    np.testing.assert_array_equal(stack[1], adaptive_avg_pool(maps[1], 21, 17))
 
 
 def test_align_map_methods():

@@ -125,6 +125,15 @@ def test_stft_rejects_too_short_signal():
         stft(Waveform(np.zeros(100), 8000), ResolutionSpec(512, 128))
 
 
+def test_extract_all_shapes_and_order():
+    # the toy resolutions, in config order, over 1.0 s at 8 kHz
+    wave = Waveform(np.random.default_rng(2).standard_normal(8000), 8000)
+    resolutions = [ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128)]
+    maps = [stft(wave, r) for r in resolutions]
+    assert [m.shape for m in maps] == [(251, 65), (126, 129), (63, 257)]
+    assert [m.shape for m in maps] == [(frame_count(8000, r.hop_len), r.n_bins) for r in resolutions]
+
+
 def test_log_magnitude_floor():
     res = ResolutionSpec(16, 8)
     spec = np.zeros((3, res.n_bins), dtype=complex)
