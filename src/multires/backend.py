@@ -59,10 +59,6 @@ class BackendConfig:
         """Channel count of 1-based stage: stem doubled at each later stage."""
         return self.stem_channels * (2 ** (stage - 1))
 
-    @property
-    def final_channels(self) -> int:
-        return self.stage_channels(self.stages)
-
 
 @dataclass
 class ConvParams:
@@ -97,7 +93,7 @@ class BlockParams:
 class BackendParams:
     stem: ConvParams
     blocks: list[BlockParams]
-    fc_weight: np.ndarray  # (N_CLASSES, final_channels)
+    fc_weight: np.ndarray  # (N_CLASSES, stage_channels(stages))
     fc_bias: np.ndarray
 
 

@@ -66,10 +66,6 @@ class FeatureCache:
     def n_utterances(self) -> int:
         return self.stacks.shape[0]
 
-    @property
-    def spatial_shape(self) -> tuple[int, int]:
-        return self.stacks.shape[2], self.stacks.shape[3]
-
 
 def write_cache(cache: FeatureCache, path: str | Path) -> None:
     """Stream the cache to `<path>.tmp`, then move it into place.

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_io import Label, ProtocolEntry, Waveform, write_protocol, write_wav
+from .signal_io import Label, ProtocolEntry, Waveform, sample_count, write_protocol, write_wav
 from .stft import ResolutionSpec, hann_window
 
 SPLITS = ("train", "dev", "eval")
@@ -119,7 +119,7 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict[str, Path]:
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
-    n_samples = int(round(spec.duration_s * spec.sample_rate))
+    n_samples = sample_count(spec.duration_s, spec.sample_rate)
     protocols: dict[str, Path] = {}
     for split_index, split in enumerate(SPLITS):
         total = spec.split_size(split)

@@ -1,4 +1,4 @@
-"""Detection metrics: DET points, equal error rate, minimum normalized t-DCF.
+"""Detection metrics: DET curve, equal error rate, minimum normalized t-DCF.
 
 Scores follow the higher-is-more-bona-fide convention.  Every metric is a
 function of the finite DET staircase swept over the distinct scores plus
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .signal_io import format_score
 
 __all__ = [
     "TdcfParams",
-    "DetPoint",
     "det_points_from_scores",
     "eer_from_scores",
     "min_tdcf_from_scores",
@@ -44,13 +42,6 @@ class TdcfParams:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class DetPoint:
-    threshold: float
-    p_miss: float
-    p_fa: float
-
-
 def _split_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -65,45 +56,45 @@ def _split_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     return bona, spoof
 
 
-def det_points_from_scores(scores: np.ndarray, labels: np.ndarray) -> list[DetPoint]:
-    """Sweep thresholds ascending: P_miss = frac(bona < t), P_fa = frac(spoof >= t)."""
+def det_points_from_scores(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(K, 3) float64 rows of threshold, P_miss, P_fa, thresholds ascending.
+
+    P_miss = frac(bona < t), P_fa = frac(spoof >= t).
+    """
     bona, spoof = _split_scores(scores, labels)
     thresholds = np.concatenate(([-np.inf], np.unique(np.concatenate((bona, spoof))), [np.inf]))
     p_miss = np.searchsorted(bona, thresholds, side="left") / bona.size
     p_fa = 1.0 - np.searchsorted(spoof, thresholds, side="left") / spoof.size
-    return [DetPoint(float(t), float(pm), float(pf)) for t, pm, pf in zip(thresholds, p_miss, p_fa)]
+    return np.column_stack((thresholds, p_miss, p_fa))
 
 
 def eer_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     """EER at the P_miss = P_fa crossing, linearly interpolated between points."""
-    points = det_points_from_scores(scores, labels)
-    prev = points[0]
-    for pt in points:
-        d = pt.p_miss - pt.p_fa
-        if d == 0.0:
-            return pt.p_miss
-        if d > 0.0:
-            d0 = prev.p_miss - prev.p_fa
-            t = -d0 / (d - d0)
-            return prev.p_miss + t * (pt.p_miss - prev.p_miss)
-        prev = pt
-    raise AssertionError("DET sweep never crossed P_miss = P_fa")  # unreachable: d=+1 at +inf
+    _, p_miss, p_fa = det_points_from_scores(scores, labels).T
+    d = p_miss - p_fa
+    # d is -1 at -inf and +1 at +inf, so the first i with d >= 0 has i >= 1
+    i = int(np.argmax(d >= 0.0))
+    if d[i] == 0.0:
+        return float(p_miss[i])
+    t = -d[i - 1] / (d[i] - d[i - 1])
+    return float(p_miss[i - 1] + t * (p_miss[i] - p_miss[i - 1]))
 
 
 def min_tdcf_from_scores(scores: np.ndarray, labels: np.ndarray, params: TdcfParams) -> float:
     """Minimum over all DET thresholds of the normalized two-coefficient cost."""
-    points = det_points_from_scores(scores, labels)
+    _, p_miss, p_fa = det_points_from_scores(scores, labels).T
     floor = min(params.c1, params.c2)
-    return min((params.c1 * pt.p_miss + params.c2 * pt.p_fa) / floor for pt in points)
+    return float(np.min((params.c1 * p_miss + params.c2 * p_fa) / floor))
 
 
-def write_det_csv(points: Iterable[DetPoint], path: str | Path) -> None:
+def write_det_csv(points: np.ndarray, path: str | Path) -> None:
+    """One ``threshold,p_miss,p_fa`` line per row of a DET array."""
     def fmt(x: float) -> str:
         return format_score(x) if np.isfinite(x) else str(x)  # sentinel rows print inf/-inf
 
     lines = ["threshold,p_miss,p_fa"]
-    for pt in points:
-        lines.append(f"{fmt(pt.threshold)},{fmt(pt.p_miss)},{fmt(pt.p_fa)}")
+    for threshold, p_miss, p_fa in points.tolist():
+        lines.append(f"{fmt(threshold)},{fmt(p_miss)},{fmt(p_fa)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -10,8 +10,10 @@ parameter as float64 little-endian in one fixed traversal order:
     head fc w, b
 
 `named_params` is that one traversal. The checkpoint, the optimizer, the
-gradient lists and the diagnostic names all derive from it, so they agree on
-parameter order by construction.
+flat gradient list that `model_backward` returns and the diagnostic names all
+derive from it, so they agree on parameter order by construction. A model of
+any dtype is saved as float64, and `load_checkpoint` narrows to the dtype the
+caller asks for.
 """
 
 from __future__ import annotations
@@ -62,12 +64,6 @@ class ModelCache:
     backend: BackendCache
 
 
-@dataclass
-class ModelGrads:
-    predictor: ExcitationParams
-    backend: BackendParams
-
-
 def init_model(
     resolutions: tuple[ResolutionSpec, ...],
     config: BackendConfig,
@@ -93,11 +89,11 @@ def model_forward(stacks: np.ndarray, model: Model) -> tuple[np.ndarray, ModelCa
     return logits, ModelCache(ec, bc)
 
 
-def model_backward(cache: ModelCache, d_logits: np.ndarray) -> tuple[np.ndarray, ModelGrads]:
-    """Logit gradients -> input-stack gradient plus all parameter gradients."""
+def model_backward(cache: ModelCache, d_logits: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logit gradients -> input-stack gradient plus gradients parallel to `model_params`."""
     d_weighted, backend_grads = backend_backward(cache.backend, d_logits)
     d_stacks, predictor_grads = excite_backward(cache.excite, d_weighted)
-    return d_stacks, ModelGrads(predictor_grads, backend_grads)
+    return d_stacks, [arr for _, arr in named_params(predictor_grads, backend_grads)]
 
 
 def _conv(prefix: str, conv: ConvParams) -> list[tuple[str, np.ndarray]]:
@@ -131,20 +127,6 @@ def model_params(model: Model) -> list[np.ndarray]:
     return [arr for _, arr in named_params(model.predictor, model.backend)]
 
 
-def grad_list(grads: ModelGrads) -> list[np.ndarray]:
-    """Gradients parallel to :func:`model_params`."""
-    return [arr for _, arr in named_params(grads.predictor, grads.backend)]
-
-
-def cast_model(model: Model, dtype: np.dtype) -> Model:
-    """Copy of the model with every parameter converted to dtype."""
-    rng = np.random.default_rng(0)  # throwaway; arrays are overwritten below
-    fresh = init_model(model.resolutions, model.config, rng, dtype)
-    for dst, src in zip(model_params(fresh), model_params(model)):
-        dst[...] = src.astype(dtype)
-    return fresh
-
-
 def save_checkpoint(model: Model, path: str | Path) -> None:
     parts = [MAGIC, struct.pack("<H", VERSION)]
     parts.append(struct.pack("<IIIII", *astuple(model.config), N_CLASSES))
@@ -156,7 +138,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-def load_checkpoint(path: str | Path) -> Model:
+def load_checkpoint(path: str | Path, dtype: np.dtype = np.float64) -> Model:
+    """Model at ``dtype`` holding the file's float64 parameters, rounded to ``dtype``."""
     buf = Path(path).read_bytes()
     if len(buf) < 6 or buf[:4] != MAGIC:
         raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic)")
@@ -183,7 +166,7 @@ def load_checkpoint(path: str | Path) -> Model:
         raise CheckpointFormatError(
             f"{path}: predictor hidden width {hidden} does not match {hidden_width(m)} for M={m}"
         )
-    model = init_model(tuple(resolutions), config, np.random.default_rng(0))
+    model = init_model(tuple(resolutions), config, np.random.default_rng(0), dtype)  # overwritten below
     want = sum(arr.size for arr in model_params(model))
     have = (len(buf) - off) // 8
     if len(buf) - off != want * 8:

@@ -27,7 +27,6 @@ from .cache import FeatureCache, read_cache, write_cache
 from .config import AppConfig, with_resolutions
 from .corpus import SPLITS, generate_corpus
 from .metrics import (
-    DetPoint,
     TdcfParams,
     det_points_from_scores,
     eer_from_scores,
@@ -35,7 +34,7 @@ from .metrics import (
     summary_line,
     write_det_csv,
 )
-from .model import Model, cast_model, load_checkpoint, save_checkpoint
+from .model import Model, load_checkpoint, save_checkpoint
 from .pruning import PruneResult, format_report, prune
 from .signal_io import Label, ScoreRecord, read_protocol, read_wav, sample_count, unify_length, write_scores
 from .stft import log_magnitude, stft
@@ -157,7 +156,7 @@ def run_train(config: AppConfig, name: str = "full", progress=None) -> tuple[Tra
     result = train(train_cache, dev_cache, config.train, config.backend, reload_train, progress)
     config.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     ckpt = checkpoint_path(config, name)
-    save_checkpoint(cast_model(result.model, np.float64), ckpt)
+    save_checkpoint(result.model, ckpt)
     suffix = "" if name == "full" else f".{name}"
     log_path = config.checkpoint_dir / f"train_log{suffix}.txt"
     log_path.write_text("".join(line + "\n" for line in result.log_lines), encoding="utf-8")
@@ -169,7 +168,7 @@ class EvalReport:
     eer: float
     min_tdcf: float
     records: list[ScoreRecord]
-    det: list[DetPoint]
+    det: np.ndarray  # (K, 3) rows of threshold, p_miss, p_fa
 
     @property
     def summary(self) -> str:
@@ -198,7 +197,7 @@ def _load_model(config: AppConfig, ckpt: str | Path) -> Model:
     ckpt = Path(ckpt)
     if not ckpt.is_file():
         raise PipelineError(f"missing checkpoint {ckpt}; run 'train' first")
-    return cast_model(load_checkpoint(ckpt), config.train.np_dtype)
+    return load_checkpoint(ckpt, config.train.np_dtype)
 
 
 def run_eval(config: AppConfig, ckpt: str | Path, split: str = "eval") -> EvalReport:

@@ -20,7 +20,6 @@ from .stft import ResolutionSpec
 class PruneResult:
     resolutions: tuple[ResolutionSpec, ...]  # original order
     weights: np.ndarray  # aligned with resolutions
-    sorted_weights: np.ndarray  # ascending
     cut_index: int  # m*, 1-based position of the element just below the gap
     retained: tuple[ResolutionSpec, ...]  # original-order subset above the gap
     discarded: tuple[ResolutionSpec, ...]
@@ -51,7 +50,7 @@ def prune(weights: np.ndarray, resolutions: tuple[ResolutionSpec, ...]) -> Prune
     rank[order] = np.arange(m)
     retained = tuple(res for i, res in enumerate(resolutions) if rank[i] >= cut)
     discarded = tuple(res for i, res in enumerate(resolutions) if rank[i] < cut)
-    return PruneResult(resolutions, weights, s, cut, retained, discarded)
+    return PruneResult(resolutions, weights, cut, retained, discarded)
 
 
 def format_report(result: PruneResult) -> str:

@@ -203,8 +203,13 @@ def unify_length(
 # Protocol files
 
 
-def read_protocol(path: str | Path) -> list[ProtocolEntry]:
-    entries: list[ProtocolEntry] = []
+def _read_rows(path: str | Path) -> list[tuple[int, str, Label, str]]:
+    """``(line number, utt_id, label, third field)`` per non-blank line.
+
+    Shared by protocol and score files: three tab-separated fields, an id
+    with no whitespace that is unique within the file, and a label token.
+    """
+    rows: list[tuple[int, str, Label, str]] = []
     seen: set[str] = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -212,14 +217,18 @@ def read_protocol(path: str | Path) -> list[ProtocolEntry]:
         fields = line.split("\t")
         if len(fields) != 3:
             raise ProtocolError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        utt_id, label_token, rel_path = fields
+        utt_id, label_token, third = fields
         if not utt_id or any(c.isspace() for c in utt_id):
             raise ProtocolError(f"{path}:{lineno}: bad utt_id {utt_id!r}")
         if utt_id in seen:
             raise ProtocolError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
         seen.add(utt_id)
-        entries.append(ProtocolEntry(utt_id, Label.parse(label_token), rel_path))
-    return entries
+        rows.append((lineno, utt_id, Label.parse(label_token), third))
+    return rows
+
+
+def read_protocol(path: str | Path) -> list[ProtocolEntry]:
+    return [ProtocolEntry(utt_id, label, rel_path) for _, utt_id, label, rel_path in _read_rows(path)]
 
 
 def write_protocol(entries: list[ProtocolEntry], path: str | Path) -> None:
@@ -251,16 +260,10 @@ def write_scores(records: list[ScoreRecord], path: str | Path) -> None:
 
 def read_scores(path: str | Path) -> list[ScoreRecord]:
     records: list[ScoreRecord] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ProtocolError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        utt_id, label_token, score_text = fields
+    for lineno, utt_id, label, score_text in _read_rows(path):
         try:
             score = float(score_text)
         except ValueError:
             raise ProtocolError(f"{path}:{lineno}: bad score {score_text!r}") from None
-        records.append(ScoreRecord(utt_id, Label.parse(label_token), score))
+        records.append(ScoreRecord(utt_id, label, score))
     return records

@@ -19,7 +19,6 @@ from .cache import FeatureCache
 from .metrics import eer_from_scores
 from .model import (
     Model,
-    grad_list,
     init_model,
     model_backward,
     model_forward,
@@ -165,8 +164,10 @@ def train(
     """Full optimization run over a cached split pair.
 
     `reload_train(epoch)` may supply replacement train stacks (same utterance
-    order) for epoch >= 2; the pipeline wires this up when per-epoch
-    recropping actually changes the features and leaves it None otherwise.
+    order) for epoch >= 2. The pipeline wires it up whenever some train WAV's
+    length differs from the target. Only WAVs longer than the target get a
+    new random crop; shorter ones are tiled the same way every epoch, so for
+    a corpus shorter than the target the reloaded stacks equal the cached ones.
 
     Emits one log line per epoch, `epoch<TAB>train_loss<TAB>dev_eer`, then
     `retained_epoch<TAB>k`.
@@ -206,7 +207,7 @@ def train(
                     f"non-finite loss at optimizer step {state.step + 1} (epoch {epoch})"
                 )
             _, grads = model_backward(fwd, d_logits)
-            adam_step(model_params(model), grad_list(grads), state)
+            adam_step(model_params(model), grads, state)
             loss_sum += loss * len(idx)
         train_loss = loss_sum / len(labels)
         dev_eer = eer_from_scores(score_cache(model, dev_cache), dev_labels)

@@ -19,7 +19,6 @@ from multires.cache import FeatureCache, read_cache, write_cache
 from multires.config import default_config, parse_config, serialize_config
 from multires.metrics import TdcfParams, eer_from_scores, min_tdcf_from_scores
 from multires.model import (
-    grad_list,
     init_model,
     load_checkpoint,
     model_backward,
@@ -109,11 +108,10 @@ def test_criterion_3_end_to_end_gradient_check():
         out, _ = model_forward(x, model)
         return float((out * d_logits).sum())
 
-    analytic = grad_list(grads)
     numeric = central_difference(loss, model_params(model), step=1e-5)
     names = [name for name, _ in named_params(model.predictor, model.backend)]
     worst_rel = 0.0
-    for name, a, n in zip(names, analytic, numeric):
+    for name, a, n in zip(names, grads, numeric, strict=True):
         np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-7, err_msg=name)
         denom = np.maximum(np.abs(n), 1e-7 / 1e-4)
         worst_rel = max(worst_rel, float((np.abs(a - n) / denom).max()))

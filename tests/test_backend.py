@@ -28,7 +28,7 @@ def _conv(c_out, c_in, k, seed=0):
 def test_config_derived_channel_plan():
     cfg = BackendConfig(stem_channels=16, stages=3, blocks_per_stage=2)
     assert [cfg.stage_channels(s) for s in (1, 2, 3)] == [16, 32, 64]
-    assert cfg.final_channels == 64
+    assert cfg.stage_channels(cfg.stages) == 64
 
 
 def test_config_validation():

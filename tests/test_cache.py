@@ -52,7 +52,7 @@ def test_empty_split_round_trips(tmp_path):
     write_cache(cache, path)
     back = read_cache(path)
     assert back.n_utterances == 0
-    assert back.spatial_shape == (4, 4)
+    assert back.stacks.shape[2:] == (4, 4)
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from multires.metrics import (
-    DetPoint,
     TdcfParams,
     det_points_from_scores,
     eer_from_scores,
@@ -19,8 +18,9 @@ def test_det_points_small_hand_case():
     scores = np.array([1.0, 3.0, 0.0, 2.0])
     labels = np.array([1, 1, 0, 0])
     points = det_points_from_scores(scores, labels)
-    assert [p.threshold for p in points] == [-np.inf, 0.0, 1.0, 2.0, 3.0, np.inf]
-    assert [(p.p_miss, p.p_fa) for p in points] == [
+    assert points.shape == (6, 3) and points.dtype == np.float64
+    assert points[:, 0].tolist() == [-np.inf, 0.0, 1.0, 2.0, 3.0, np.inf]
+    assert [(p_miss, p_fa) for _, p_miss, p_fa in points.tolist()] == [
         (0.0, 1.0),
         (0.0, 1.0),
         (0.0, 0.5),
@@ -42,9 +42,9 @@ def test_det_points_match_counting_oracle():
         want = sweep_rates(scores, labels)
         assert len(got) == len(want)
         for g, (t, pm, pf) in zip(got, want):
-            assert g.threshold == t
-            assert g.p_miss == pytest.approx(pm, abs=1e-15)
-            assert g.p_fa == pytest.approx(pf, abs=1e-15)
+            assert g[0] == t
+            assert g[1] == pytest.approx(pm, abs=1e-15)
+            assert g[2] == pytest.approx(pf, abs=1e-15)
 
 
 def test_eer_perfect_separation_is_zero():
@@ -112,7 +112,7 @@ def test_input_validation():
 
 
 def test_write_det_csv(tmp_path):
-    points = [DetPoint(-np.inf, 0.0, 1.0), DetPoint(0.5, 0.25, 0.5), DetPoint(np.inf, 1.0, 0.0)]
+    points = np.array([[-np.inf, 0.0, 1.0], [0.5, 0.25, 0.5], [np.inf, 1.0, 0.0]])
     path = tmp_path / "det.csv"
     write_det_csv(points, path)
     lines = path.read_text().splitlines()

@@ -7,8 +7,6 @@ from multires.backend import BackendConfig
 from multires.model import (
     MAGIC,
     CheckpointFormatError,
-    cast_model,
-    grad_list,
     init_model,
     load_checkpoint,
     model_backward,
@@ -52,7 +50,8 @@ def test_forward_backward_shapes():
     assert logits.shape == (4, 2)
     d_stacks, grads = model_backward(cache, np.ones_like(logits))
     assert d_stacks.shape == x.shape
-    for g, p in zip(grad_list(grads), model_params(model)):
+    assert len(grads) == len(model_params(model))
+    for g, p in zip(grads, model_params(model)):
         assert g.shape == p.shape
 
 
@@ -75,7 +74,7 @@ def test_end_to_end_gradients_match_finite_differences():
         return float((out * d_logits).sum())
 
     arrays = [x] + model_params(model)
-    got = [d_stacks] + grad_list(grads)
+    got = [d_stacks] + grads
     num = central_difference(loss, arrays)
     for g, n in zip(got, num):
         np.testing.assert_allclose(g, n, rtol=1e-5, atol=1e-7)
@@ -116,19 +115,31 @@ def test_checkpoint_header_layout(tmp_path):
 def test_checkpoint_stores_float64_even_for_float32_models(tmp_path):
     model = init_model(RES, CFG, np.random.default_rng(8), dtype=np.float32)
     path = tmp_path / "f.mrck"
-    save_checkpoint(cast_model(model, np.float64), path)
+    save_checkpoint(model, path)
     back = load_checkpoint(path)
-    assert back.backend.stem.weight.dtype == np.float64
-    np.testing.assert_array_equal(
-        back.backend.stem.weight, model.backend.stem.weight.astype(np.float64)
-    )
+    for a, b in zip(model_params(model), model_params(back)):
+        assert b.dtype == np.float64
+        np.testing.assert_array_equal(b, a.astype(np.float64))
 
 
-def test_cast_model_round_trip_preserves_float32_values():
+def test_float32_checkpoint_saves_the_bytes_of_its_float64_widening(tmp_path):
+    model = init_model(RES, CFG, np.random.default_rng(14), dtype=np.float32)
+    wide = init_model(RES, CFG, np.random.default_rng(15), dtype=np.float64)
+    for dst, src in zip(model_params(wide), model_params(model)):
+        dst[...] = src.astype(np.float64)
+    save_checkpoint(model, tmp_path / "narrow.mrck")
+    save_checkpoint(wide, tmp_path / "wide.mrck")
+    assert (tmp_path / "narrow.mrck").read_bytes() == (tmp_path / "wide.mrck").read_bytes()
+
+
+def test_float32_checkpoint_round_trip_is_bitwise(tmp_path):
     model = init_model(RES, CFG, np.random.default_rng(9), dtype=np.float32)
-    up = cast_model(model, np.float64)
-    down = cast_model(up, np.float32)
-    for a, b in zip(model_params(model), model_params(down)):
+    path = tmp_path / "f32.mrck"
+    save_checkpoint(model, path)
+    back = load_checkpoint(path, np.float32)
+    assert back.resolutions == RES and back.config == CFG
+    for a, b in zip(model_params(model), model_params(back)):
+        assert b.dtype == np.float32
         np.testing.assert_array_equal(a, b)
 
 

@@ -103,7 +103,7 @@ def test_extract_and_load_round_trip(run_dir):
     _, config = run_dir
     cache = load_split_cache(config, "train")
     assert cache.n_utterances == 6
-    assert cache.spatial_shape == (16, 17)
+    assert cache.stacks.shape[2:] == (16, 17)
     assert cache.resolutions == (ResolutionSpec(32, 8), ResolutionSpec(64, 16))
     assert sorted(cache.ids)[0] == "train_b0000"
 

@@ -152,6 +152,13 @@ def test_scores_round_trip(tmp_path):
     assert read_scores(path) == records
 
 
+def test_scores_reject_duplicate_ids(tmp_path):
+    path = tmp_path / "s.tsv"
+    path.write_text("a\tbonafide\t1.0\na\tspoof\t-1.0\n")
+    with pytest.raises(ProtocolError, match="duplicate utt_id 'a'"):
+        read_scores(path)
+
+
 def test_label_values_and_tokens():
     assert int(Label.SPOOF) == 0 and int(Label.BONAFIDE) == 1
     assert Label.parse("bonafide") is Label.BONAFIDE
