@@ -19,11 +19,14 @@ padded input into its 2 x 2 polyphase parts, and tap (i, j) reads part
 (i % 2, j % 2). Backward re-gathers x and runs the same per-tap GEMMs for
 d_weight and for the buffer gradient, which is then gathered back onto x.
 Activations stay (N, C, W, H) between calls.
+
+A backward cache keeps each activation once, and a ReLU's mask is read
+from its output: relu(z) > 0 exactly where z > 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -324,30 +327,28 @@ def relu(x: np.ndarray) -> np.ndarray:
 @dataclass
 class BlockCache:
     x: np.ndarray
-    pre1: np.ndarray  # conv1 output, pre-ReLU
-    act1: np.ndarray
+    act1: np.ndarray  # relu(conv1(x))
     se_cache: ExciteCache
-    pre_out: np.ndarray  # se(conv2) + skip, pre-ReLU
+    out: np.ndarray  # the block's output, relu(se(conv2) + skip)
     params: BlockParams
 
 
 def block_forward(x: np.ndarray, p: BlockParams) -> tuple[np.ndarray, BlockCache]:
     """out = relu(se(conv2(relu(conv1(x)))) + skip(x))."""
-    pre1 = conv2d_forward(x, p.conv1, p.stride)
-    act1 = relu(pre1)
+    act1 = relu(conv2d_forward(x, p.conv1, p.stride))
     pre2 = conv2d_forward(act1, p.conv2, 1)
     se_out, se_cache = excite_forward(pre2, p.se)
     skip = x if p.proj is None else conv2d_forward(x, p.proj, p.stride)
-    pre_out = se_out + skip
-    return relu(pre_out), BlockCache(x, pre1, act1, se_cache, pre_out, p)
+    out = relu(se_out + skip)
+    return out, BlockCache(x, act1, se_cache, out, p)
 
 
 def block_backward(cache: BlockCache, dout: np.ndarray) -> tuple[np.ndarray, BlockParams]:
     p = cache.params
-    d_pre = dout * (cache.pre_out > 0)
+    d_pre = dout * (cache.out > 0)
     d_pre2, d_se = excite_backward(cache.se_cache, d_pre)
     d_act1, d_conv2 = conv2d_backward(cache.act1, p.conv2, d_pre2, 1)
-    d_pre1 = d_act1 * (cache.pre1 > 0)
+    d_pre1 = d_act1 * (cache.act1 > 0)
     dx, d_conv1 = conv2d_backward(cache.x, p.conv1, d_pre1, p.stride)
     if p.proj is None:
         dx = dx + d_pre
@@ -365,28 +366,23 @@ def block_backward(cache: BlockCache, dout: np.ndarray) -> tuple[np.ndarray, Blo
 @dataclass
 class BackendCache:
     x: np.ndarray
-    stem_pre: np.ndarray
-    blocks: list[BlockCache] = field(default_factory=list)
-    features: np.ndarray = None  # final block output (N, C, W, H)
-    pooled: np.ndarray = None
-    params: BackendParams = None
+    blocks: list[BlockCache]  # blocks[0].x is the stem's ReLU output
+    pooled: np.ndarray
+    params: BackendParams
 
 
 def backend_forward(x: np.ndarray, params: BackendParams) -> tuple[np.ndarray, BackendCache]:
     """Stack batch (N, M, W, H) -> logits (N, N_CLASSES) plus backward cache."""
-    stem_pre = conv2d_forward(x, params.stem, 1)
-    h = relu(stem_pre)
-    cache = BackendCache(x, stem_pre, [], None, None, params)
+    h = relu(conv2d_forward(x, params.stem, 1))
+    blocks = []
     for bp in params.blocks:
         h, bc = block_forward(h, bp)
-        cache.blocks.append(bc)
+        blocks.append(bc)
     pooled = h.mean(axis=(2, 3))
     # einsum, not `@`: BLAS takes another path for a one-row batch, and a
     # score must not depend on the batch that it was computed in.
     logits = np.einsum("nc,kc->nk", pooled, params.fc_weight) + params.fc_bias
-    cache.features = h
-    cache.pooled = pooled
-    return logits, cache
+    return logits, BackendCache(x, blocks, pooled, params)
 
 
 def backend_backward(cache: BackendCache, d_logits: np.ndarray) -> tuple[np.ndarray, BackendParams]:
@@ -395,13 +391,14 @@ def backend_backward(cache: BackendCache, d_logits: np.ndarray) -> tuple[np.ndar
     d_fc_w = d_logits.T @ cache.pooled
     d_fc_b = d_logits.sum(axis=0)
     d_pooled = d_logits @ params.fc_weight
-    spatial = cache.features.shape[2] * cache.features.shape[3]
-    dh = np.broadcast_to(d_pooled[:, :, None, None] / spatial, cache.features.shape).copy()
+    features = cache.blocks[-1].out
+    spatial = features.shape[2] * features.shape[3]
+    dh = np.broadcast_to(d_pooled[:, :, None, None] / spatial, features.shape).copy()
     d_blocks: list[BlockParams] = []
     for bc in reversed(cache.blocks):
         dh, bg = block_backward(bc, dh)
         d_blocks.append(bg)
     d_blocks.reverse()
-    d_stem_in = dh * (cache.stem_pre > 0)
+    d_stem_in = dh * (cache.blocks[0].x > 0)
     dx, d_stem = conv2d_backward(cache.x, params.stem, d_stem_in, 1)
     return dx, BackendParams(d_stem, d_blocks, d_fc_w, d_fc_b)

@@ -72,22 +72,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def bottleneck_weights(pooled: np.ndarray, params: ExcitationParams):
     """FC -> ReLU -> FC -> sigmoid on pooled channel means (N, C) -> (N, C).
 
-    Returns (scales, pre-ReLU activations, post-ReLU activations); the extra
-    terms feed the backward pass.
+    Returns (scales, hidden); backward reads the ReLU output `hidden` for
+    fc2's gradient and, as hidden > 0, for the ReLU's mask.
     """
     # einsum, not `@`: BLAS takes another path for a one-row batch, and an
     # utterance's gates must not depend on the size of its batch
     a = np.einsum("nc,hc->nh", pooled, params.fc1_weight) + params.fc1_bias
     r = np.maximum(a, 0.0)
     z = np.einsum("nh,ch->nc", r, params.fc2_weight) + params.fc2_bias
-    return _sigmoid(z), a, r
+    return _sigmoid(z), r
 
 
 @dataclass
 class ExciteCache:
     x: np.ndarray
     pooled: np.ndarray
-    pre_relu: np.ndarray
     hidden: np.ndarray
     scales: np.ndarray
     params: ExcitationParams
@@ -98,9 +97,9 @@ def excite_forward(x: np.ndarray, params: ExcitationParams) -> tuple[np.ndarray,
     if x.ndim != 4 or x.shape[1] != params.n_channels:
         raise ValueError(f"expected (N, {params.n_channels}, W, H) input, got {x.shape}")
     pooled = x.mean(axis=(2, 3))
-    scales, a, r = bottleneck_weights(pooled, params)
+    scales, hidden = bottleneck_weights(pooled, params)
     y = x * scales[:, :, None, None]
-    return y, ExciteCache(x, pooled, a, r, scales, params)
+    return y, ExciteCache(x, pooled, hidden, scales, params)
 
 
 def excite_backward(cache: ExciteCache, dy: np.ndarray) -> tuple[np.ndarray, ExcitationParams]:
@@ -117,7 +116,7 @@ def excite_backward(cache: ExciteCache, dy: np.ndarray) -> tuple[np.ndarray, Exc
     d_fc2_b = dz.sum(axis=0)
     d_fc2_w = dz.T @ cache.hidden
     dr = dz @ p.fc2_weight
-    da = dr * (cache.pre_relu > 0)
+    da = dr * (cache.hidden > 0)
     d_fc1_b = da.sum(axis=0)
     d_fc1_w = da.T @ cache.pooled
     d_pooled = da @ p.fc1_weight

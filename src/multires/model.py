@@ -40,6 +40,9 @@ from .weighting import hidden_width, init_weight_predictor
 
 MAGIC = b"MRCK"
 VERSION = 1
+# magic, version, the BackendConfig fields, class count, M, predictor hidden width
+_HEADER = struct.Struct("<4sH7I")
+_RESOLUTION = struct.Struct("<II")  # window, hop; M of them follow the header
 
 
 class CheckpointFormatError(ValueError):
@@ -128,45 +131,39 @@ def model_params(model: Model) -> list[np.ndarray]:
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    parts = [MAGIC, struct.pack("<H", VERSION)]
-    parts.append(struct.pack("<IIIII", *astuple(model.config), N_CLASSES))
-    parts.append(struct.pack("<II", model.n_channels, model.predictor.hidden))
-    for res in model.resolutions:
-        parts.append(struct.pack("<II", res.window_len, res.hop_len))
-    for arr in model_params(model):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    header = (MAGIC, VERSION, *astuple(model.config), N_CLASSES, model.n_channels, model.predictor.hidden)
+    parts = [_HEADER.pack(*header)]
+    parts += [_RESOLUTION.pack(res.window_len, res.hop_len) for res in model.resolutions]
+    parts += [np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in model_params(model)]
     Path(path).write_bytes(b"".join(parts))
 
 
 def load_checkpoint(path: str | Path, dtype: np.dtype = np.float64) -> Model:
     """Model at ``dtype`` holding the file's float64 parameters, rounded to ``dtype``."""
     buf = Path(path).read_bytes()
-    if len(buf) < 6 or buf[:4] != MAGIC:
+    if buf[:4] != MAGIC:
         raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<H", buf, 4)
+    if len(buf) < _HEADER.size:
+        raise CheckpointFormatError(f"{path}: truncated header ({len(buf)} of {_HEADER.size} bytes)")
+    _, version, *config_fields, classes, m, hidden = _HEADER.unpack_from(buf)
     if version != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 6
-    try:
-        *config_fields, classes = struct.unpack_from("<IIIII", buf, off)
-        off += 20
-        m, hidden = struct.unpack_from("<II", buf, off)
-        off += 8
-        resolutions = []
-        for _ in range(m):
-            window, hop = struct.unpack_from("<II", buf, off)
-            off += 8
-            resolutions.append(ResolutionSpec(window, hop))
-        config = BackendConfig(*config_fields)
-    except (struct.error, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: bad header ({exc})") from exc
     if classes != N_CLASSES:
         raise CheckpointFormatError(f"{path}: header has {classes} classes, expected {N_CLASSES}")
     if hidden != hidden_width(m):
         raise CheckpointFormatError(
             f"{path}: predictor hidden width {hidden} does not match {hidden_width(m)} for M={m}"
         )
-    model = init_model(tuple(resolutions), config, np.random.default_rng(0), dtype)  # overwritten below
+    off = _HEADER.size
+    try:
+        resolutions = []
+        for _ in range(m):
+            resolutions.append(ResolutionSpec(*_RESOLUTION.unpack_from(buf, off)))
+            off += _RESOLUTION.size
+        config = BackendConfig(*config_fields)
+        model = init_model(tuple(resolutions), config, np.random.default_rng(0), dtype)  # overwritten below
+    except (struct.error, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: bad header ({exc})") from exc
     want = sum(arr.size for arr in model_params(model))
     have = (len(buf) - off) // 8
     if len(buf) - off != want * 8:

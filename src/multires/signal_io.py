@@ -223,7 +223,11 @@ def _read_rows(path: str | Path) -> list[tuple[int, str, Label, str]]:
         if utt_id in seen:
             raise ProtocolError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
         seen.add(utt_id)
-        rows.append((lineno, utt_id, Label.parse(label_token), third))
+        try:
+            label = Label.parse(label_token)
+        except ProtocolError as exc:
+            raise ProtocolError(f"{path}:{lineno}: {exc}") from None
+        rows.append((lineno, utt_id, label, third))
     return rows
 
 

@@ -32,7 +32,7 @@ def init_weight_predictor(
 def batch_weights(stacks: np.ndarray, params: ExcitationParams) -> np.ndarray:
     """Predicted weights for a batch of stacks (N, M, W, H) -> (N, M)."""
     pooled = stacks.mean(axis=(2, 3), dtype=params.fc1_weight.dtype)
-    scales, _, _ = bottleneck_weights(pooled, params)
+    scales, _ = bottleneck_weights(pooled, params)
     return scales
 
 

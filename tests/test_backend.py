@@ -274,8 +274,8 @@ def test_backend_forward_shapes_and_pooling():
     x = np.random.default_rng(3).standard_normal((5, 3, 9, 7))
     logits, cache = backend_forward(x, params)
     assert logits.shape == (5, 2)
-    assert cache.features.shape == (5, 8, 5, 4)  # one stride-2 block: ceil(9/2), ceil(7/2)
-    np.testing.assert_allclose(cache.pooled, cache.features.mean(axis=(2, 3)), atol=0)
+    assert cache.blocks[-1].out.shape == (5, 8, 5, 4)  # one stride-2 block: ceil(9/2), ceil(7/2)
+    np.testing.assert_allclose(cache.pooled, cache.blocks[-1].out.mean(axis=(2, 3)), atol=0)
     np.testing.assert_allclose(logits, cache.pooled @ params.fc_weight.T + params.fc_bias, atol=0)
 
 

@@ -34,11 +34,10 @@ def test_bottleneck_weights_compositional():
     # straight recomputation through separate numpy calls
     p = _params()
     pooled = np.random.default_rng(1).standard_normal((4, 5))
-    scales, a, r = bottleneck_weights(pooled, p)
+    scales, r = bottleneck_weights(pooled, p)
     a_ref = pooled @ p.fc1_weight.T + p.fc1_bias
     r_ref = np.where(a_ref > 0, a_ref, 0.0)
     z_ref = r_ref @ p.fc2_weight.T + p.fc2_bias
-    np.testing.assert_allclose(a, a_ref, atol=0)
     np.testing.assert_allclose(r, r_ref, atol=0)
     np.testing.assert_allclose(scales, 1 / (1 + np.exp(-z_ref)), atol=1e-15)
     assert ((scales > 0) & (scales < 1)).all()
@@ -52,13 +51,13 @@ def test_outputs_do_not_depend_on_batch_size(dtype):
         p = init_excitation(c, max(1, c // 4), rng, dtype=dtype)
         x = rng.standard_normal((n, c, 4, 5)).astype(dtype)
         y, cache = excite_forward(x, p)
-        scales, a, r = bottleneck_weights(cache.pooled, p)
+        scales, r = bottleneck_weights(cache.pooled, p)
         for i in range(n):
             y1, cache1 = excite_forward(x[i : i + 1], p)
             assert y1[0].tobytes() == y[i].tobytes()
             assert cache1.scales[0].tobytes() == cache.scales[i].tobytes()
             one = bottleneck_weights(cache.pooled[i : i + 1], p)
-            for got, want in zip(one, (scales, a, r)):
+            for got, want in zip(one, (scales, r)):
                 assert got.dtype == dtype
                 assert got[0].tobytes() == want[i].tobytes()
 
@@ -66,7 +65,7 @@ def test_outputs_do_not_depend_on_batch_size(dtype):
 def test_sigmoid_stable_at_large_magnitudes():
     p = ExcitationParams(np.eye(2) * 50, np.zeros(2), np.eye(2), np.zeros(2))
     pooled = np.array([[20.0, -20.0]])
-    scales, _, _ = bottleneck_weights(pooled, p)
+    scales, _ = bottleneck_weights(pooled, p)
     assert np.isfinite(scales).all()
     assert scales[0, 0] > 0.999999
     assert 0.0 < scales[0, 1]
@@ -76,7 +75,7 @@ def test_forward_scales_each_channel():
     p = _params(c=3, h=2)
     x = np.random.default_rng(2).standard_normal((2, 3, 4, 5))
     y, cache = excite_forward(x, p)
-    scales, _, _ = bottleneck_weights(x.mean(axis=(2, 3)), p)
+    scales, _ = bottleneck_weights(x.mean(axis=(2, 3)), p)
     np.testing.assert_allclose(y, x * scales[:, :, None, None], atol=0)
     np.testing.assert_array_equal(cache.pooled, x.mean(axis=(2, 3)))
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ def test_forward_rejects_wrong_channels():
     model = init_model(RES, CFG, np.random.default_rng(1))
     with pytest.raises(ValueError, match="stacks"):
         model_forward(np.zeros((1, 2, 4, 4)), model)
+
+
+def test_forward_keeps_each_activation_once():
+    # the cache holds each activation once, not a pre-ReLU copy beside it
+    model = init_model(RES, BackendConfig(8, 3, 1, 4), np.random.default_rng(5))
+    x = np.random.default_rng(6).standard_normal((4, 3, 64, 65))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, cache = model_forward(x, model)  # kept alive while the peak is read
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * x.nbytes, f"peak {peak / x.nbytes:.1f}x input bytes"
 
 
 def test_end_to_end_gradients_match_finite_differences():
@@ -181,6 +196,29 @@ def test_load_rejects_class_count_other_than_two(tmp_path):
         struct.pack_into("<I", buf, 22, classes)
         path.write_bytes(bytes(buf))
         with pytest.raises(CheckpointFormatError, match=f"{classes} classes"):
+            load_checkpoint(path)
+
+
+def test_load_rejects_zero_resolutions(tmp_path):
+    model = init_model(RES, CFG, np.random.default_rng(16))
+    path = tmp_path / "z.mrck"
+    save_checkpoint(model, path)
+    buf = bytearray(path.read_bytes())
+    struct.pack_into("<I", buf, 26, 0)  # M; hidden_width(0) still matches the stored 2
+    path.write_bytes(bytes(buf))
+    with pytest.raises(CheckpointFormatError, match="z\\.mrck: bad header"):
+        load_checkpoint(path)
+
+
+def test_truncation_rejected(tmp_path):
+    # every cut, inside the magic, the fixed header, the resolutions or the parameters
+    model = init_model(RES, BackendConfig(1, 1, 1, 1), np.random.default_rng(17))
+    path = tmp_path / "t.mrck"
+    save_checkpoint(model, path)
+    whole = path.read_bytes()
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
 

@@ -125,8 +125,15 @@ def test_protocol_rejects_duplicate_ids(tmp_path):
 def test_protocol_rejects_unknown_label(tmp_path):
     path = tmp_path / "p.tsv"
     path.write_text("a\tgenuine\tx.wav\n")
-    with pytest.raises(ProtocolError, match="genuine"):
+    with pytest.raises(ProtocolError, match=r"p\.tsv:1: unknown label token 'genuine'"):
         read_protocol(path)
+
+
+def test_scores_reject_unknown_label(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("a\tspoof\t0.5\nb\tgenuine\t1.0\n")
+    with pytest.raises(ProtocolError, match=r"s\.txt:2: unknown label token 'genuine'"):
+        read_scores(path)
 
 
 def test_format_score_round_trips():
