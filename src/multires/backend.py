@@ -27,7 +27,7 @@ from its output: relu(z) > 0 exactly where z > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,41 +100,30 @@ class BackendParams:
     fc_bias: np.ndarray
 
 
-def _uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator, dtype) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def _init_conv(c_out: int, c_in: int, k: int, rng: np.random.Generator, dtype) -> ConvParams:
-    w = _uniform((c_out, c_in, k, k), c_in * k * k, rng, dtype)
-    return ConvParams(w, np.zeros(c_out, dtype=dtype))
-
-
 def init_backend(
-    in_channels: int,
-    config: BackendConfig,
-    rng: np.random.Generator,
-    dtype: np.dtype = np.float64,
+    in_channels: int, config: BackendConfig, make: Callable[[tuple[int, ...]], np.ndarray]
 ) -> BackendParams:
-    """Uniform +-1/sqrt(fan_in) weights, zero biases, in traversal order."""
+    """Backend whose tensors come from ``make(shape)``, called in `named_params` order."""
     if in_channels < 1:
         raise ValueError("in_channels must be >= 1")
-    stem = _init_conv(config.stem_channels, in_channels, 3, rng, dtype)
+
+    def conv(c_out: int, c_in: int, k: int) -> ConvParams:
+        return ConvParams(make((c_out, c_in, k, k)), make((c_out,)))
+
+    stem = conv(config.stem_channels, in_channels, 3)
     blocks = []
     prev = config.stem_channels
     for stage in range(1, config.stages + 1):
         ch = config.stage_channels(stage)
         for b in range(config.blocks_per_stage):
             stride = 2 if (stage >= 2 and b == 0) else 1
-            conv1 = _init_conv(ch, prev, 3, rng, dtype)
-            conv2 = _init_conv(ch, ch, 3, rng, dtype)
-            proj = _init_conv(ch, prev, 1, rng, dtype) if (stride != 1 or prev != ch) else None
-            se = init_excitation(ch, max(1, ch // config.se_reduction), rng, dtype)
+            conv1 = conv(ch, prev, 3)
+            conv2 = conv(ch, ch, 3)
+            proj = conv(ch, prev, 1) if (stride != 1 or prev != ch) else None
+            se = init_excitation(ch, max(1, ch // config.se_reduction), make)
             blocks.append(BlockParams(conv1, conv2, proj, se, stride))
             prev = ch
-    fc_w = _uniform((N_CLASSES, prev), prev, rng, dtype)
-    fc_b = np.zeros(N_CLASSES, dtype=dtype)
-    return BackendParams(stem, blocks, fc_w, fc_b)
+    return BackendParams(stem, blocks, make((N_CLASSES, prev)), make((N_CLASSES,)))
 
 
 # ---------------------------------------------------------------------------

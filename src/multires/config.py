@@ -65,14 +65,6 @@ class AppConfig:
             raise ConfigError("alignment.target dims must be >= 1")
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValueError(f"expected true or false, got {raw!r}")
-
-
 def _parse_target(raw: str) -> tuple[int, int] | None:
     if raw == "max":
         return None
@@ -87,12 +79,6 @@ def _parse_resolutions(raw: str) -> tuple[ResolutionSpec, ...]:
     return tuple(ResolutionSpec.parse(tok) for tok in tokens)
 
 
-def _format_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 class _Key(NamedTuple):
     name: str  # as written in a config file
     attr: str  # AppConfig field
@@ -104,7 +90,6 @@ class _Key(NamedTuple):
 
 # Section field parsers, by the type of the field's default.
 _PARSERS: dict[type, Callable[[str], Any]] = {
-    bool: _parse_bool,
     int: int,
     float: float,
     str: str,
@@ -147,8 +132,7 @@ def _declare_keys() -> tuple[_Key, ...]:
             continue
         for f in dataclasses.fields(_SECTIONS[attr]):
             default = f.default_factory() if f.default is dataclasses.MISSING else f.default
-            text, parse = _format_value(default), _PARSERS[type(default)]
-            keys.append(_Key(f"{attr}.{f.name}", attr, f.name, text, parse, _format_value))
+            keys.append(_Key(f"{attr}.{f.name}", attr, f.name, str(default), _PARSERS[type(default)], str))
     return tuple(keys)
 
 
@@ -214,10 +198,6 @@ def load_config(path: str | Path) -> AppConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     return parse_config(path.read_text(encoding="utf-8"), source=str(path))
-
-
-def save_config(config: AppConfig, path: str | Path) -> None:
-    Path(path).write_text(serialize_config(config), encoding="utf-8")
 
 
 def with_seed(config: AppConfig, seed: int) -> AppConfig:

@@ -12,6 +12,7 @@ All arrays are batched (leading axis N); dtype follows the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,19 +45,14 @@ class ExcitationParams:
 
 
 def init_excitation(
-    n_channels: int,
-    hidden: int,
-    rng: np.random.Generator,
-    dtype: np.dtype = np.float64,
+    n_channels: int, hidden: int, make: Callable[[tuple[int, ...]], np.ndarray]
 ) -> ExcitationParams:
-    """Weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases zero."""
-    lim1 = 1.0 / np.sqrt(n_channels)
-    lim2 = 1.0 / np.sqrt(hidden)
+    """Bottleneck whose tensors come from ``make(shape)``, called in `named_params` order."""
     return ExcitationParams(
-        fc1_weight=rng.uniform(-lim1, lim1, (hidden, n_channels)).astype(dtype),
-        fc1_bias=np.zeros(hidden, dtype=dtype),
-        fc2_weight=rng.uniform(-lim2, lim2, (n_channels, hidden)).astype(dtype),
-        fc2_bias=np.zeros(n_channels, dtype=dtype),
+        fc1_weight=make((hidden, n_channels)),
+        fc1_bias=make((hidden,)),
+        fc2_weight=make((n_channels, hidden)),
+        fc2_bias=make((n_channels,)),
     )
 
 

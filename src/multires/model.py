@@ -14,13 +14,22 @@ flat gradient list that `model_backward` returns and the diagnostic names all
 derive from it, so they agree on parameter order by construction. A model of
 any dtype is saved as float64, and `load_checkpoint` narrows to the dtype the
 caller asks for.
+
+One builder makes every model: it takes a tensor source ``make(shape)`` and
+calls it once per tensor in `named_params` order. `fresh_weights`, the one
+place the fan-in rule is written, feeds `init_model`. `load_checkpoint` feeds
+it a reader of the file's next ``prod(shape)`` float64 values that fails when
+the file ends first, so a load never allocates more than the file holds;
+bytes left after the last tensor are rejected too.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -34,9 +43,9 @@ from .backend import (
     backend_forward,
     init_backend,
 )
-from .excitation import ExcitationParams, ExciteCache, excite_backward, excite_forward
+from .excitation import ExcitationParams, ExciteCache, excite_backward, excite_forward, init_excitation
 from .stft import ResolutionSpec
-from .weighting import hidden_width, init_weight_predictor
+from .weighting import hidden_width
 
 MAGIC = b"MRCK"
 VERSION = 1
@@ -67,18 +76,38 @@ class ModelCache:
     backend: BackendCache
 
 
+TensorSource = Callable[[tuple[int, ...]], np.ndarray]
+
+
+def fresh_weights(rng: np.random.Generator, dtype: np.dtype = np.float64) -> TensorSource:
+    """New tensors: ndim >= 2 uniform in +-1/sqrt(prod(shape[1:])), 1-D (biases) zero."""
+
+    def make(shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 1:
+            return np.zeros(shape, dtype=dtype)
+        bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+        return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+    return make
+
+
+def _build_model(
+    resolutions: tuple[ResolutionSpec, ...], config: BackendConfig, make: TensorSource
+) -> Model:
+    if not resolutions:
+        raise ValueError("model needs at least one resolution")
+    m = len(resolutions)
+    predictor = init_excitation(m, hidden_width(m), make)
+    return Model(resolutions, config, predictor, init_backend(m, config, make))
+
+
 def init_model(
     resolutions: tuple[ResolutionSpec, ...],
     config: BackendConfig,
     rng: np.random.Generator,
     dtype: np.dtype = np.float64,
 ) -> Model:
-    resolutions = tuple(resolutions)
-    if not resolutions:
-        raise ValueError("model needs at least one resolution")
-    predictor = init_weight_predictor(len(resolutions), rng, dtype)
-    backend = init_backend(len(resolutions), config, rng, dtype)
-    return Model(resolutions, config, predictor, backend)
+    return _build_model(tuple(resolutions), config, fresh_weights(rng, dtype))
 
 
 def model_forward(stacks: np.ndarray, model: Model) -> tuple[np.ndarray, ModelCache]:
@@ -155,21 +184,27 @@ def load_checkpoint(path: str | Path, dtype: np.dtype = np.float64) -> Model:
             f"{path}: predictor hidden width {hidden} does not match {hidden_width(m)} for M={m}"
         )
     off = _HEADER.size
+    rest = memoryview(buf)[off + m * _RESOLUTION.size :]
+
+    def read(shape: tuple[int, ...]) -> np.ndarray:
+        nonlocal rest
+        size = 8 * math.prod(shape)
+        if size > len(rest):
+            raise CheckpointFormatError(f"{path}: file ends inside the float64 parameters")
+        arr = np.frombuffer(rest[:size], dtype="<f8").reshape(shape).astype(dtype)
+        rest = rest[size:]
+        return arr
+
     try:
         resolutions = []
         for _ in range(m):
             resolutions.append(ResolutionSpec(*_RESOLUTION.unpack_from(buf, off)))
             off += _RESOLUTION.size
-        config = BackendConfig(*config_fields)
-        model = init_model(tuple(resolutions), config, np.random.default_rng(0), dtype)  # overwritten below
+        model = _build_model(tuple(resolutions), BackendConfig(*config_fields), read)
+    except CheckpointFormatError:
+        raise
     except (struct.error, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad header ({exc})") from exc
-    want = sum(arr.size for arr in model_params(model))
-    have = (len(buf) - off) // 8
-    if len(buf) - off != want * 8:
-        raise CheckpointFormatError(f"{path}: expected {want} float64 parameters, found {have}")
-    for arr in model_params(model):
-        flat = np.frombuffer(buf, dtype="<f8", count=arr.size, offset=off)
-        arr[...] = flat.reshape(arr.shape)
-        off += 8 * arr.size
+    if len(rest):
+        raise CheckpointFormatError(f"{path}: {len(rest)} bytes after the float64 parameters")
     return model

@@ -135,8 +135,6 @@ def load_split_cache(config: AppConfig, split: str) -> FeatureCache:
 
 def _needs_recrop(config: AppConfig) -> bool:
     """True when train WAV lengths differ from the unified target length."""
-    if not config.train.recrop_each_epoch:
-        return False
     protocol = config.corpus_dir / "train_protocol.tsv"
     if not protocol.is_file():
         return False

@@ -42,7 +42,6 @@ class TrainConfig:
     warmup_steps: int = 1000
     weight_decay: float = 1e-9
     target_duration_s: float = 4.5
-    recrop_each_epoch: bool = True
     dtype: str = "float64"
 
     def __post_init__(self) -> None:

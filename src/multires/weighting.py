@@ -1,13 +1,13 @@
-"""Per-resolution weight predictor: initialization and weight read-outs.
+"""Per-resolution weight predictor: its width and its weight read-outs.
 
 The predictor is an SE-style bottleneck over the M resolutions of the
 aligned stack: each channel's global mean goes through FC -> ReLU -> FC ->
 sigmoid to give one weight per resolution.  The scaling itself is
 :func:`multires.excitation.excite_forward`, called from
-:func:`multires.model.model_forward`; this module builds the predictor's
-parameters and reads its weights out without scaling anything.  The mean of
-the predicted weights over a data split is the per-resolution importance
-summary consumed by pruning and ``inspect-weights``.
+:func:`multires.model.model_forward`; this module fixes the predictor's
+bottleneck width and reads its weights out without scaling anything.  The
+mean of the predicted weights over a data split is the per-resolution
+importance summary consumed by pruning and ``inspect-weights``.
 """
 
 from __future__ import annotations
@@ -15,18 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .cache import FeatureCache
-from .excitation import ExcitationParams, bottleneck_weights, init_excitation
+from .excitation import ExcitationParams, bottleneck_weights
 
 
 def hidden_width(n_resolutions: int) -> int:
     """Bottleneck width for the weight predictor: max(2, M // 2)."""
     return max(2, n_resolutions // 2)
-
-
-def init_weight_predictor(
-    n_resolutions: int, rng: np.random.Generator, dtype: np.dtype = np.float64
-) -> ExcitationParams:
-    return init_excitation(n_resolutions, hidden_width(n_resolutions), rng, dtype)
 
 
 def batch_weights(stacks: np.ndarray, params: ExcitationParams) -> np.ndarray:

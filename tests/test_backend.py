@@ -16,6 +16,7 @@ from multires.backend import (
     init_backend,
     relu,
 )
+from multires.model import fresh_weights
 
 from oracles import central_difference, naive_conv2d
 
@@ -183,7 +184,7 @@ def _make_block(c_in, c_out, stride, seed):
     proj = None
     if stride != 1 or c_in != c_out:
         proj = ConvParams(rng.standard_normal((c_out, c_in, 1, 1)) * 0.2, rng.standard_normal(c_out) * 0.1)
-    se = init_excitation(c_out, max(1, c_out // 2), rng)
+    se = init_excitation(c_out, max(1, c_out // 2), fresh_weights(rng))
     return BlockParams(conv1, conv2, proj, se, stride)
 
 
@@ -244,7 +245,7 @@ def test_block_backward_finite_differences():
 
 def test_init_backend_structure():
     cfg = BackendConfig(stem_channels=8, stages=3, blocks_per_stage=2, se_reduction=4)
-    params = init_backend(3, cfg, np.random.default_rng(0))
+    params = init_backend(3, cfg, fresh_weights(np.random.default_rng(0)))
     assert params.stem.weight.shape == (8, 3, 3, 3)
     assert len(params.blocks) == 6
     strides = [b.stride for b in params.blocks]
@@ -262,7 +263,7 @@ def test_init_backend_structure():
 
 def test_init_backend_uniform_bounds():
     cfg = BackendConfig(stem_channels=4, stages=1, blocks_per_stage=1, se_reduction=4)
-    params = init_backend(2, cfg, np.random.default_rng(1))
+    params = init_backend(2, cfg, fresh_weights(np.random.default_rng(1)))
     fan_in = 2 * 9
     assert np.abs(params.stem.weight).max() <= 1 / np.sqrt(fan_in)
     assert (params.stem.bias == 0).all()
@@ -270,7 +271,7 @@ def test_init_backend_uniform_bounds():
 
 def test_backend_forward_shapes_and_pooling():
     cfg = BackendConfig(stem_channels=4, stages=2, blocks_per_stage=1, se_reduction=2)
-    params = init_backend(3, cfg, np.random.default_rng(2))
+    params = init_backend(3, cfg, fresh_weights(np.random.default_rng(2)))
     x = np.random.default_rng(3).standard_normal((5, 3, 9, 7))
     logits, cache = backend_forward(x, params)
     assert logits.shape == (5, 2)
@@ -281,7 +282,7 @@ def test_backend_forward_shapes_and_pooling():
 
 def test_backend_backward_finite_differences():
     cfg = BackendConfig(stem_channels=3, stages=2, blocks_per_stage=1, se_reduction=3)
-    params = init_backend(2, cfg, np.random.default_rng(4))
+    params = init_backend(2, cfg, fresh_weights(np.random.default_rng(4)))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 2, 5, 4))
     logits, cache = backend_forward(x, params)

@@ -10,7 +10,6 @@ from multires.config import (
     default_config,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
     with_resolutions,
     with_seed,
@@ -59,6 +58,12 @@ def test_n_classes_key_rejected():
     # the head always has two logits, spoof and bona fide, so the key is gone
     with pytest.raises(ConfigError, match=r"unknown config key 'backend\.n_classes'"):
         parse_config("backend.n_classes = 2\n")
+
+
+def test_recrop_each_epoch_key_rejected():
+    # recropping follows from the train WAV lengths alone, so the key is gone
+    with pytest.raises(ConfigError, match=r"unknown config key 'train\.recrop_each_epoch'"):
+        parse_config("train.recrop_each_epoch = false\n")
 
 
 def test_missing_equals_rejected():
@@ -139,7 +144,6 @@ NON_DEFAULTS = {
     "train.warmup_steps": "7",
     "train.weight_decay": "1e-05",
     "train.target_duration_s": "1.5",
-    "train.recrop_each_epoch": "false",
     "train.dtype": "float32",
     "backend.stem_channels": "24",
     "backend.stages": "4",
@@ -188,7 +192,7 @@ def test_every_key_reaches_its_own_field():
 def test_save_and_load(tmp_path):
     cfg = with_seed(default_config(), 9)
     path = tmp_path / "run.cfg"
-    save_config(cfg, path)
+    path.write_text(serialize_config(cfg), encoding="utf-8")
     assert load_config(path) == cfg
 
 

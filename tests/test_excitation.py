@@ -8,12 +8,13 @@ from multires.excitation import (
     excite_forward,
     init_excitation,
 )
+from multires.model import fresh_weights
 
 from oracles import central_difference
 
 
 def _params(c=5, h=3, seed=0):
-    return init_excitation(c, h, np.random.default_rng(seed))
+    return init_excitation(c, h, fresh_weights(np.random.default_rng(seed)))
 
 
 def test_init_shapes_and_ranges():
@@ -48,7 +49,7 @@ def test_outputs_do_not_depend_on_batch_size(dtype):
     # every row gives the same bits alone (N=1) as inside a larger batch
     rng = np.random.default_rng(11)
     for c, n in [(3, 5), (13, 7), (16, 9), (32, 4)]:
-        p = init_excitation(c, max(1, c // 4), rng, dtype=dtype)
+        p = init_excitation(c, max(1, c // 4), fresh_weights(rng, dtype))
         x = rng.standard_normal((n, c, 4, 5)).astype(dtype)
         y, cache = excite_forward(x, p)
         scales, r = bottleneck_weights(cache.pooled, p)

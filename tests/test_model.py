@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from multires.backend import BackendConfig
+from multires.excitation import init_excitation
 from multires.model import (
     MAGIC,
     CheckpointFormatError,
+    _build_model,
+    fresh_weights,
     init_model,
     load_checkpoint,
     model_backward,
@@ -17,6 +20,7 @@ from multires.model import (
     save_checkpoint,
 )
 from multires.stft import ResolutionSpec
+from multires.weighting import hidden_width
 
 from oracles import central_difference
 
@@ -42,6 +46,24 @@ def test_param_list_and_names_align():
     # live references: mutating through the list reaches the model
     params[0][...] = 7.0
     assert (model.predictor.fc1_weight == 7.0).all()
+
+
+@pytest.mark.parametrize(
+    "config", [BackendConfig(8, 3, 1, 4), BackendConfig(4, 2, 2, 2), BackendConfig(1, 1, 1, 1)]
+)
+def test_builder_calls_its_source_in_traversal_order(config):
+    # the toy backend and a two-block-per-stage one have projection blocks; 1/1/1/1 has none
+    calls = []
+
+    def make(shape):
+        calls.append((shape, np.zeros(shape)))
+        return calls[-1][1]
+
+    model = _build_model(RES, config, make)
+    params = named_params(model.predictor, model.backend)
+    assert any(name.endswith(".proj.w") for name, _ in params) == (config.stages > 1)
+    assert [shape for shape, _ in calls] == [arr.shape for _, arr in params]
+    assert all(made is arr for (_, made), (_, arr) in zip(calls, params))
 
 
 def test_forward_backward_shapes():
@@ -175,6 +197,33 @@ def test_load_rejects_truncated_params(tmp_path):
         load_checkpoint(path)
 
 
+def test_load_rejects_trailing_bytes(tmp_path):
+    model = init_model(RES, CFG, np.random.default_rng(18))
+    path = tmp_path / "e.mrck"
+    save_checkpoint(model, path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(CheckpointFormatError, match="8 bytes after the float64 parameters"):
+        load_checkpoint(path)
+
+
+def test_load_allocates_no_more_than_the_file(tmp_path):
+    # a corrupt stem width must fail on the file's length before it builds a model that wide
+    model = init_model(RES, BackendConfig(8, 3, 1, 4), np.random.default_rng(19))
+    path = tmp_path / "s.mrck"
+    save_checkpoint(model, path)
+    buf = bytearray(path.read_bytes())
+    struct.pack_into("<I", buf, 6, 64)  # stem_channels
+    path.write_bytes(bytes(buf))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError, match="parameters"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(buf), f"peak {peak / len(buf):.1f}x file bytes"
+
+
 def test_load_rejects_inconsistent_hidden_width(tmp_path):
     model = init_model(RES, CFG, np.random.default_rng(11))
     path = tmp_path / "w.mrck"
@@ -227,7 +276,5 @@ def test_init_order_predictor_before_backend():
     # backend-first init would consume different rng draws
     model_a = init_model(RES, CFG, np.random.default_rng(12))
     rng = np.random.default_rng(12)
-    from multires.weighting import init_weight_predictor
-
-    predictor = init_weight_predictor(3, rng)
+    predictor = init_excitation(3, hidden_width(3), fresh_weights(rng))
     np.testing.assert_array_equal(model_a.predictor.fc1_weight, predictor.fc1_weight)

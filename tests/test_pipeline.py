@@ -187,8 +187,6 @@ def test_needs_recrop_logic(run_dir, tmp_path):
     assert _needs_recrop(config)  # 0.3 s corpus vs 0.25 s target
     matched = _config(config.corpus_dir.parent, **{"train.target_duration_s": "0.3"})
     assert not _needs_recrop(matched)
-    off = _config(config.corpus_dir.parent, **{"train.recrop_each_epoch": "false"})
-    assert not _needs_recrop(off)
 
 
 def test_load_missing_cache_names_extract(tmp_path):

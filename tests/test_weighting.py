@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from multires.cache import FeatureCache
+from multires.excitation import init_excitation
+from multires.model import fresh_weights
 from multires.stft import ResolutionSpec
-from multires.weighting import batch_weights, hidden_width, init_weight_predictor, mean_weights_over_set
+from multires.weighting import batch_weights, hidden_width, mean_weights_over_set
 
 RES3 = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
+
+
+def _predictor(seed, dtype=np.float64):
+    return init_excitation(3, hidden_width(3), fresh_weights(np.random.default_rng(seed), dtype))
 
 
 def test_hidden_width_rule():
@@ -19,7 +25,7 @@ def test_hidden_width_rule():
 
 def test_batch_weights_matches_per_utterance_predictions():
     # every row against sigmoid(W2 . relu(W1 . mean + b1) + b2) in float64
-    p = init_weight_predictor(3, np.random.default_rng(6))
+    p = _predictor(6)
     rng = np.random.default_rng(7)
     p.fc1_bias = rng.standard_normal(p.fc1_bias.shape)  # init leaves biases at zero
     p.fc2_bias = rng.standard_normal(p.fc2_bias.shape)
@@ -33,12 +39,12 @@ def test_batch_weights_matches_per_utterance_predictions():
         np.testing.assert_allclose(batched[i], want, rtol=1e-14, atol=1e-15)
     assert ((batched > 0) & (batched < 1)).all()
     # the output dtype follows the parameters, as in float32 training
-    p32 = init_weight_predictor(3, np.random.default_rng(6), np.float32)
+    p32 = _predictor(6, np.float32)
     assert batch_weights(stacks, p32).dtype == np.float32
 
 
 def test_mean_weights_over_set_averages_and_chunks():
-    p = init_weight_predictor(3, np.random.default_rng(8))
+    p = _predictor(8)
     stacks = np.random.default_rng(9).standard_normal((7, 3, 4, 4)).astype(np.float32)
     cache = FeatureCache(RES3, stacks, [f"u{i}" for i in range(7)], np.zeros(7, dtype=np.uint8))
     want = batch_weights(stacks, p).astype(np.float64).mean(axis=0)
@@ -48,7 +54,7 @@ def test_mean_weights_over_set_averages_and_chunks():
 
 
 def test_mean_weights_over_set_rejects_empty():
-    p = init_weight_predictor(3, np.random.default_rng(0))
+    p = _predictor(0)
     cache = FeatureCache(RES3, np.zeros((0, 3, 2, 2), dtype=np.float32), [], np.zeros(0, dtype=np.uint8))
     with pytest.raises(ValueError, match="empty"):
         mean_weights_over_set(cache, p)
