@@ -20,8 +20,12 @@ padded input into its 2 x 2 polyphase parts, and tap (i, j) reads part
 d_weight and for the buffer gradient, which is then gathered back onto x.
 Activations stay (N, C, W, H) between calls.
 
-A backward cache keeps each activation once, and a ReLU's mask is read
-from its output: relu(z) > 0 exactly where z > 0.
+Every forward takes ``keep_cache``. A training forward keeps the backward
+cache, which holds each activation once; a ReLU's mask is read from its
+output, as relu(z) > 0 exactly where z > 0. A scoring forward
+(``keep_cache=False``) returns None for the cache and drops each activation
+once the next layer has read it: between layers it holds the block's input
+and the current activation, not every layer's for the whole batch.
 """
 
 from __future__ import annotations
@@ -322,14 +326,19 @@ class BlockCache:
     params: BlockParams
 
 
-def block_forward(x: np.ndarray, p: BlockParams) -> tuple[np.ndarray, BlockCache]:
+def block_forward(
+    x: np.ndarray, p: BlockParams, keep_cache: bool = True
+) -> tuple[np.ndarray, Optional[BlockCache]]:
     """out = relu(se(conv2(relu(conv1(x)))) + skip(x))."""
     act1 = relu(conv2d_forward(x, p.conv1, p.stride))
     pre2 = conv2d_forward(act1, p.conv2, 1)
-    se_out, se_cache = excite_forward(pre2, p.se)
-    skip = x if p.proj is None else conv2d_forward(x, p.proj, p.stride)
-    out = relu(se_out + skip)
-    return out, BlockCache(x, act1, se_cache, out, p)
+    if not keep_cache:
+        act1 = None  # conv2 was its last reader
+    out, se_cache = excite_forward(pre2, p.se, keep_cache)
+    del pre2
+    out += x if p.proj is None else conv2d_forward(x, p.proj, p.stride)
+    np.maximum(out, 0, out=out)
+    return out, BlockCache(x, act1, se_cache, out, p) if keep_cache else None
 
 
 def block_backward(cache: BlockCache, dout: np.ndarray) -> tuple[np.ndarray, BlockParams]:
@@ -360,18 +369,20 @@ class BackendCache:
     params: BackendParams
 
 
-def backend_forward(x: np.ndarray, params: BackendParams) -> tuple[np.ndarray, BackendCache]:
-    """Stack batch (N, M, W, H) -> logits (N, N_CLASSES) plus backward cache."""
+def backend_forward(
+    x: np.ndarray, params: BackendParams, keep_cache: bool = True
+) -> tuple[np.ndarray, Optional[BackendCache]]:
+    """Stack batch (N, M, W, H) -> logits (N, N_CLASSES), plus the backward cache if kept."""
     h = relu(conv2d_forward(x, params.stem, 1))
     blocks = []
     for bp in params.blocks:
-        h, bc = block_forward(h, bp)
+        h, bc = block_forward(h, bp, keep_cache)
         blocks.append(bc)
     pooled = h.mean(axis=(2, 3))
     # einsum, not `@`: BLAS takes another path for a one-row batch, and a
     # score must not depend on the batch that it was computed in.
     logits = np.einsum("nc,kc->nk", pooled, params.fc_weight) + params.fc_bias
-    return logits, BackendCache(x, blocks, pooled, params)
+    return logits, BackendCache(x, blocks, pooled, params) if keep_cache else None
 
 
 def backend_backward(cache: BackendCache, d_logits: np.ndarray) -> tuple[np.ndarray, BackendParams]:

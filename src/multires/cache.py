@@ -24,6 +24,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .signal_io import atomic_write
 from .stft import ResolutionSpec
 
 MAGIC = b"MRFE"
@@ -68,32 +69,25 @@ class FeatureCache:
 
 
 def write_cache(cache: FeatureCache, path: str | Path) -> None:
-    """Stream the cache to `<path>.tmp`, then move it into place.
+    """Stream the cache to `path` through `atomic_write`.
 
     Each utterance's bytes go straight from `stacks` to the file, so no copy
     of the split is held. A failure part-way removes the temp file and
     leaves any earlier file at `path` as it was.
     """
-    path = Path(path)
     n, m, w, h = cache.stacks.shape
     payload = np.ascontiguousarray(cache.stacks, dtype="<f4")
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC + struct.pack("<HH", VERSION, m))
-            for res in cache.resolutions:
-                f.write(struct.pack("<II", res.window_len, res.hop_len))
-            f.write(struct.pack("<III", w, h, n))
-            for i in range(n):
-                raw_id = cache.ids[i].encode("utf-8")
-                if len(raw_id) > 0xFFFF:
-                    raise ValueError(f"utterance id too long: {cache.ids[i]!r}")
-                f.write(struct.pack("<H", len(raw_id)) + raw_id + struct.pack("<B", int(cache.labels[i])))
-                f.write(payload[i])
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as f:
+        f.write(MAGIC + struct.pack("<HH", VERSION, m))
+        for res in cache.resolutions:
+            f.write(struct.pack("<II", res.window_len, res.hop_len))
+        f.write(struct.pack("<III", w, h, n))
+        for i in range(n):
+            raw_id = cache.ids[i].encode("utf-8")
+            if len(raw_id) > 0xFFFF:
+                raise ValueError(f"utterance id too long: {cache.ids[i]!r}")
+            f.write(struct.pack("<H", len(raw_id)) + raw_id + struct.pack("<B", int(cache.labels[i])))
+            f.write(payload[i])
 
 
 def _read_exact(f: BinaryIO, size: int, what: str) -> bytes:

@@ -2,9 +2,10 @@
 
 This one computation serves two places: the per-resolution weight predictor
 of the front-end (channels = resolutions) and the SE blocks inside the
-residual backend (channels = conv channels).  Forward caches everything the
-exact reverse-mode backward needs, including the product-rule term where the
-predicted scale both multiplies the input and depends on it through the pool.
+residual backend (channels = conv channels).  A training forward caches
+everything the exact reverse-mode backward needs, including the product-rule
+term where the predicted scale both multiplies the input and depends on it
+through the pool; a scoring forward (``keep_cache=False``) caches nothing.
 
 All arrays are batched (leading axis N); dtype follows the inputs.
 """
@@ -12,7 +13,7 @@ All arrays are batched (leading axis N); dtype follows the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -88,14 +89,19 @@ class ExciteCache:
     params: ExcitationParams
 
 
-def excite_forward(x: np.ndarray, params: ExcitationParams) -> tuple[np.ndarray, ExciteCache]:
-    """Scale each channel of x (N, C, W, H) by its predicted weight in (0, 1)."""
+def excite_forward(
+    x: np.ndarray, params: ExcitationParams, keep_cache: bool = True
+) -> tuple[np.ndarray, Optional[ExciteCache]]:
+    """Scale each channel of x (N, C, W, H) by its predicted weight in (0, 1).
+
+    The cache is None when ``keep_cache`` is False, so nothing holds on to x.
+    """
     if x.ndim != 4 or x.shape[1] != params.n_channels:
         raise ValueError(f"expected (N, {params.n_channels}, W, H) input, got {x.shape}")
     pooled = x.mean(axis=(2, 3))
     scales, hidden = bottleneck_weights(pooled, params)
     y = x * scales[:, :, None, None]
-    return y, ExciteCache(x, pooled, hidden, scales, params)
+    return y, ExciteCache(x, pooled, hidden, scales, params) if keep_cache else None
 
 
 def excite_backward(cache: ExciteCache, dy: np.ndarray) -> tuple[np.ndarray, ExcitationParams]:

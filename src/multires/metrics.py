@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_io import format_score
+from .signal_io import atomic_write, format_score
 
 __all__ = [
     "TdcfParams",
@@ -95,7 +95,8 @@ def write_det_csv(points: np.ndarray, path: str | Path) -> None:
     lines = ["threshold,p_miss,p_fa"]
     for threshold, p_miss, p_fa in points.tolist():
         lines.append(f"{fmt(threshold)},{fmt(p_miss)},{fmt(p_fa)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def summary_line(eer_value: float, tdcf_value: float) -> str:

@@ -29,7 +29,7 @@ import math
 import struct
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .backend import (
     init_backend,
 )
 from .excitation import ExcitationParams, ExciteCache, excite_backward, excite_forward, init_excitation
+from .signal_io import atomic_write
 from .stft import ResolutionSpec
 from .weighting import hidden_width
 
@@ -110,15 +111,23 @@ def init_model(
     return _build_model(tuple(resolutions), config, fresh_weights(rng, dtype))
 
 
-def model_forward(stacks: np.ndarray, model: Model) -> tuple[np.ndarray, ModelCache]:
-    """Aligned stacks (N, M, W, H) -> logits (N, N_CLASSES)."""
+def model_forward(
+    stacks: np.ndarray, model: Model, keep_cache: bool = True
+) -> tuple[np.ndarray, Optional[ModelCache]]:
+    """Aligned stacks (N, M, W, H) -> logits (N, N_CLASSES), plus the backward cache.
+
+    A training step keeps the cache for `model_backward`. Scoring passes
+    ``keep_cache=False``: the cache is None and each activation is dropped
+    once the next layer has read it. Both run the same layers in the same
+    order, so their logits are bitwise equal.
+    """
     if stacks.ndim != 4 or stacks.shape[1] != model.n_channels:
         raise ValueError(
             f"expected stacks (N, {model.n_channels}, W, H), got shape {stacks.shape}"
         )
-    weighted, ec = excite_forward(stacks, model.predictor)
-    logits, bc = backend_forward(weighted, model.backend)
-    return logits, ModelCache(ec, bc)
+    weighted, ec = excite_forward(stacks, model.predictor, keep_cache)
+    logits, bc = backend_forward(weighted, model.backend, keep_cache)
+    return logits, ModelCache(ec, bc) if keep_cache else None
 
 
 def model_backward(cache: ModelCache, d_logits: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -164,7 +173,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     parts = [_HEADER.pack(*header)]
     parts += [_RESOLUTION.pack(res.window_len, res.hop_len) for res in model.resolutions]
     parts += [np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in model_params(model)]
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_write(path) as f:
+        f.write(b"".join(parts))
 
 
 def load_checkpoint(path: str | Path, dtype: np.dtype = np.float64) -> Model:

@@ -36,7 +36,16 @@ from .metrics import (
 )
 from .model import Model, load_checkpoint, save_checkpoint
 from .pruning import PruneResult, format_report, prune
-from .signal_io import Label, ScoreRecord, read_protocol, read_wav, sample_count, unify_length, write_scores
+from .signal_io import (
+    Label,
+    ScoreRecord,
+    atomic_write,
+    read_protocol,
+    read_wav,
+    sample_count,
+    unify_length,
+    write_scores,
+)
 from .stft import log_magnitude, stft
 from .trainer import TrainResult, score_cache, train
 from .weighting import mean_weights_over_set
@@ -157,7 +166,8 @@ def run_train(config: AppConfig, name: str = "full", progress=None) -> tuple[Tra
     save_checkpoint(result.model, ckpt)
     suffix = "" if name == "full" else f".{name}"
     log_path = config.checkpoint_dir / f"train_log{suffix}.txt"
-    log_path.write_text("".join(line + "\n" for line in result.log_lines), encoding="utf-8")
+    with atomic_write(log_path) as f:
+        f.write("".join(line + "\n" for line in result.log_lines).encode("utf-8"))
     return result, ckpt
 
 
@@ -235,7 +245,8 @@ def run_prune(
     model, weights = mean_weights(config, ckpt)
     result = prune(weights, model.resolutions)
     config.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    (config.checkpoint_dir / "prune_report.txt").write_text(format_report(result), encoding="utf-8")
+    with atomic_write(config.checkpoint_dir / "prune_report.txt") as f:
+        f.write(format_report(result).encode("utf-8"))
     refined_config = with_resolutions(config, result.retained)
     run_extract(refined_config)
     train_result, refined_ckpt = run_train(refined_config, name="refined", progress=progress)

@@ -1,4 +1,4 @@
-"""WAV ingestion, length unification, and protocol/score file handling.
+"""WAV ingestion, length unification, protocol/score files, and atomic writes.
 
 Audio is RIFF/WAVE, PCM 16-bit little-endian, mono only.  Resampling is out
 of scope: callers that know the expected rate pass it to :func:`read_wav`
@@ -10,14 +10,21 @@ Text formats (UTF-8, tab-separated, one record per line):
   {bonafide, spoof}
 * score file:     ``utt_id<TAB>label<TAB>score`` with the score printed at
   full round-trip precision (at least 6 significant digits)
+
+Feature caches, checkpoints, train logs, prune reports, score files and DET
+files are written through :func:`atomic_write`, so a crash mid-write never
+leaves a half-written artifact at its final path.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -88,6 +95,28 @@ class ScoreRecord:
     utt_id: str
     label: Label
     score: float
+
+
+# ---------------------------------------------------------------------------
+# Atomic writes
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """Write `<path>.tmp` in binary mode, then move it onto `path` with os.replace.
+
+    If the body raises, the temp file is removed and any earlier file at
+    `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +288,8 @@ def format_score(value: float) -> str:
 
 def write_scores(records: list[ScoreRecord], path: str | Path) -> None:
     lines = [f"{r.utt_id}\t{r.label.token}\t{format_score(r.score)}" for r in records]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def read_scores(path: str | Path) -> list[ScoreRecord]:

@@ -27,6 +27,8 @@ from .model import (
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
+# Utterances per scoring forward: memory only, as scores do not depend on it.
+SCORE_BATCH = 8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -133,13 +135,19 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: Optimize
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def score_cache(model: Model, cache: FeatureCache, batch_size: int = 32) -> np.ndarray:
-    """Detection scores logit(bonafide) - logit(spoof) for every utterance."""
+def score_cache(model: Model, cache: FeatureCache, batch_size: int = SCORE_BATCH) -> np.ndarray:
+    """Detection scores logit(bonafide) - logit(spoof) for every utterance.
+
+    Forward only: `model_forward` runs with ``keep_cache=False``, so a chunk
+    builds no backward cache and drops each activation once it is read. A
+    score does not depend on the chunk it is computed in (per-example conv
+    blocks, einsum gates and head), so `batch_size` sets memory, not output.
+    """
     dtype = model.backend.fc_weight.dtype
     scores = np.empty(cache.n_utterances, dtype=np.float64)
     for start in range(0, cache.n_utterances, batch_size):
-        chunk = cache.stacks[start : start + batch_size].astype(dtype)
-        logits, _ = model_forward(chunk, model)
+        chunk = cache.stacks[start : start + batch_size].astype(dtype, copy=False)
+        logits, _ = model_forward(chunk, model, keep_cache=False)
         scores[start : start + chunk.shape[0]] = (logits[:, 1] - logits[:, 0]).astype(np.float64)
     return scores
 
@@ -198,8 +206,8 @@ def train(
         loss_sum = 0.0
         for start in range(0, len(perm), config.batch_size):
             idx = perm[start : start + config.batch_size]
-            batch = stacks[idx].astype(dtype)
-            logits, fwd = model_forward(batch, model)
+            batch = stacks[idx].astype(dtype, copy=False)  # indexing already copied
+            logits, fwd = model_forward(batch, model, keep_cache=True)
             loss, d_logits = cross_entropy_batch(logits, labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(

@@ -98,6 +98,18 @@ def test_forward_keeps_each_activation_once():
     assert peak <= 25 * x.nbytes, f"peak {peak / x.nbytes:.1f}x input bytes"
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logits_with_and_without_cache_are_bitwise_equal(dtype):
+    model = init_model(RES, CFG, np.random.default_rng(7), dtype)
+    for n in (1, 5):
+        x = np.random.default_rng(n).standard_normal((n, 3, 9, 7)).astype(dtype)
+        kept, cache = model_forward(x, model)
+        scored, none = model_forward(x, model, keep_cache=False)
+        assert cache is not None and none is None
+        assert kept.dtype == scored.dtype == dtype
+        np.testing.assert_array_equal(kept, scored)
+
+
 def test_end_to_end_gradients_match_finite_differences():
     model = init_model(RES, CFG, np.random.default_rng(3))
     rng = np.random.default_rng(4)

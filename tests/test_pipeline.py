@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -244,6 +245,27 @@ def test_train_eval_prune_workflow(run_dir):
     refined_report = run_eval(config, refined_ckpt, split="eval")
     assert 0.0 <= refined_report.eer <= 1.0
     assert (config.checkpoint_dir / "refined.eval_scores.tsv").is_file()
+
+
+def test_failed_artifact_writes_keep_previous_files(run_dir, tmp_path, monkeypatch):
+    # checkpoints, train logs, the prune report, scores and DET files are all
+    # moved into place last: when that move fails, every earlier artifact
+    # keeps its bytes and no .tmp file is left behind
+    _, config = run_dir
+    config = dataclasses.replace(config, checkpoint_dir=tmp_path)
+    _, ckpt = run_train(config)
+    run_eval(config, ckpt)
+    (tmp_path / "prune_report.txt").write_text("previous report\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    for step in (run_train, lambda c: run_eval(c, ckpt), lambda c: run_prune(c, ckpt)):
+        with pytest.raises(OSError, match="disk full"):
+            step(config)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_evaluate_model_resolution_guard(run_dir):

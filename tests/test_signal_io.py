@@ -8,6 +8,7 @@ from multires.signal_io import (
     ScoreRecord,
     Waveform,
     WavFormatError,
+    atomic_write,
     format_score,
     read_protocol,
     read_scores,
@@ -171,3 +172,16 @@ def test_label_values_and_tokens():
     assert Label.parse("bonafide") is Label.BONAFIDE
     assert Label.parse("spoof") is Label.SPOOF
     assert Label.BONAFIDE.token == "bonafide"
+
+
+def test_atomic_write_failing_midway_keeps_previous_file(tmp_path):
+    path = tmp_path / "artifact.bin"
+    with atomic_write(path) as f:
+        f.write(b"previous contents\n")
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_write(path) as f:
+            f.write(b"half of the new")
+            raise RuntimeError("failed midway")
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

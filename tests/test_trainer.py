@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from multires.backend import BackendConfig
 from multires.cache import FeatureCache
-from multires.model import model_params
+from multires.model import init_model, model_forward, model_params
 from multires.stft import ResolutionSpec
 from multires.trainer import (
     TrainConfig,
@@ -219,5 +221,29 @@ def test_score_cache_convention_and_chunking():
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, warmup_steps=8)
     result = train(train_cache, _caches()[1], cfg, SLIM)
     full = score_cache(result.model, train_cache, batch_size=64)
-    chunked = score_cache(result.model, train_cache, batch_size=3)
-    np.testing.assert_array_equal(full, chunked)
+    for batch_size in (3, 1):
+        chunked = score_cache(result.model, train_cache, batch_size=batch_size)
+        np.testing.assert_array_equal(full, chunked)
+
+
+def test_score_cache_keeps_no_backward_cache():
+    # scoring builds no backward cache: its peak stays well below that of one
+    # cached forward on the same batch (the two peaks were equal when scoring
+    # kept the caches; without them scoring reads about 0.6 of it)
+    res = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
+    model = init_model(res, BackendConfig(8, 3, 1, 4), np.random.default_rng(5))
+    stacks = np.random.default_rng(6).standard_normal((8, 3, 64, 65)).astype(np.float32)
+    cache = FeatureCache(res, stacks, tuple(f"u{i}" for i in range(8)), np.arange(8) % 2)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = run()  # alive while the peak is read
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    cached = peak(lambda: model_forward(stacks.astype(np.float64), model))
+    scoring = peak(lambda: score_cache(model, cache))
+    assert scoring <= 0.75 * cached, f"scoring peak {scoring / cached:.2f}x the cached forward's"
