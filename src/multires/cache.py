@@ -6,21 +6,30 @@ across training epochs.  The format is self-describing: the header carries
 the resolution list and aligned dimensions so compatibility with a config or
 checkpoint is checked structurally, not by filename.
 
-Layout, all integers little-endian:
+Layout (version 2), all integers little-endian:
 
     magic "MRFE" | version u16 | M u16
     M x (window u32, hop u32)
-    W u32 | H u32 | N u32
-    N x (id_len u16, id UTF-8 bytes, label u8, M*W*H float32)
+    W u32 | H u32 | N u32 | table_bytes u64
+    table: N x (id_len u16, id UTF-8 bytes, label u8), table_bytes in all
+    payload: N x M x W x H float32, row-major, utterance n at
+             payload_offset + n * (4 * M * W * H)
+
+The header alone fixes the file size, so `read_cache` checks it against the
+file before it reads the table, and reads no payload at all.  The cache it
+returns holds a `CacheRows` in place of the stacks: indexing it with a slice
+or an index array reads just those utterances from the file.  Version 1
+interleaved the ids with the payload and can no longer be read.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -28,30 +37,91 @@ from .signal_io import atomic_write
 from .stft import ResolutionSpec
 
 MAGIC = b"MRFE"
-VERSION = 1
+VERSION = 2
+_PREFIX = struct.Struct("<4sHH")
+_DIMS = struct.Struct("<IIIQ")  # W, H, N, table_bytes
+_ROW_DTYPE = np.dtype("<f4")
 
 
 class CacheFormatError(ValueError):
     """Raised when a cache file does not parse as MRFE."""
 
 
+class CacheRows:
+    """The (N, M, W, H) float32 payload of an open cache file, read on demand.
+
+    ``rows[k]``, ``rows[a:b]`` and ``rows[index_array]`` each return a fresh
+    ndarray holding only those utterances, read with ``os.preadv`` straight
+    into the result, so no page of the file stays mapped into the process.
+    The descriptor is closed when this object is garbage collected.
+    """
+
+    def __init__(self, path: str | Path, fd: int, offset: int, shape: tuple[int, int, int, int]):
+        self.path = path
+        self.shape = shape
+        self.dtype = _ROW_DTYPE
+        self._fd = fd
+        self._offset = offset
+        self._row_bytes = _ROW_DTYPE.itemsize * math.prod(shape[1:])
+        self._close = weakref.finalize(self, os.close, fd)
+
+    def __getitem__(self, key) -> np.ndarray:
+        n = self.shape[0]
+        if isinstance(key, slice):
+            start, stop, step = key.indices(n)
+            if step == 1:
+                out = np.empty((max(stop - start, 0),) + self.shape[1:], dtype=self.dtype)
+                self._read_into(out, start)
+                return out
+            key = range(start, stop, step)
+        idx = np.asarray(key)
+        if isinstance(key, tuple) or idx.dtype.kind not in "iu" or idx.ndim > 1:
+            raise IndexError(f"cache rows take an int, a slice or a 1-D integer array, not {key!r}")
+        if idx.size and (idx.min() < -n or idx.max() >= n):
+            raise IndexError(f"row index out of range for {n} utterances")
+        rows = idx.reshape(-1) % max(n, 1)
+        out = np.empty((rows.size,) + self.shape[1:], dtype=self.dtype)
+        for j, row in enumerate(rows.tolist()):
+            self._read_into(out[j : j + 1], row)
+        return out[0] if idx.ndim == 0 else out
+
+    def _read_into(self, out: np.ndarray, row: int) -> None:
+        view = memoryview(out.reshape(-1).view(np.uint8))
+        offset = self._offset + row * self._row_bytes
+        done = 0
+        while done < len(view):
+            got = os.preadv(self._fd, [view[done:]], offset + done)
+            if got == 0:
+                raise CacheFormatError(f"{self.path}: file ends inside utterance {row}'s features")
+            done += got
+
+    def close(self) -> None:
+        """Close the descriptor now; later reads fail."""
+        self._close()
+
+
 @dataclass
 class FeatureCache:
-    """Aligned stacks for one split: stacks[n] is utterance n's (M, W, H) block."""
+    """Aligned stacks for one split: stacks[n] is utterance n's (M, W, H) block.
+
+    `stacks` is an in-memory array for a freshly extracted split, or the
+    `CacheRows` of a cache file opened by `read_cache`; both index the same way.
+    """
 
     resolutions: tuple[ResolutionSpec, ...]
-    stacks: np.ndarray
+    stacks: np.ndarray | CacheRows
     ids: tuple[str, ...]
     labels: np.ndarray
 
     def __post_init__(self) -> None:
         self.resolutions = tuple(self.resolutions)
         self.ids = tuple(self.ids)
-        self.stacks = np.asarray(self.stacks, dtype=np.float32)
+        if not isinstance(self.stacks, CacheRows):
+            self.stacks = np.asarray(self.stacks, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         if not self.resolutions:
             raise ValueError("cache needs at least one resolution")
-        if self.stacks.ndim != 4:
+        if len(self.stacks.shape) != 4:
             raise ValueError(f"stacks must be (N, M, W, H), got shape {self.stacks.shape}")
         n, m = self.stacks.shape[:2]
         if m != len(self.resolutions):
@@ -71,65 +141,102 @@ class FeatureCache:
 def write_cache(cache: FeatureCache, path: str | Path) -> None:
     """Stream the cache to `path` through `atomic_write`.
 
-    Each utterance's bytes go straight from `stacks` to the file, so no copy
-    of the split is held. A failure part-way removes the temp file and
-    leaves any earlier file at `path` as it was.
+    The table is built first; then each utterance's bytes go straight from
+    `stacks` to the file, so no copy of the split is held. A failure
+    part-way removes the temp file and leaves any earlier file at `path` as
+    it was.
     """
     n, m, w, h = cache.stacks.shape
-    payload = np.ascontiguousarray(cache.stacks, dtype="<f4")
+    table = bytearray()
+    for utt_id, label in zip(cache.ids, cache.labels):
+        raw_id = utt_id.encode("utf-8")
+        if len(raw_id) > 0xFFFF:
+            raise ValueError(f"utterance id too long: {utt_id!r}")
+        table += struct.pack("<H", len(raw_id)) + raw_id + struct.pack("<B", int(label))
     with atomic_write(path) as f:
-        f.write(MAGIC + struct.pack("<HH", VERSION, m))
+        f.write(_PREFIX.pack(MAGIC, VERSION, m))
         for res in cache.resolutions:
             f.write(struct.pack("<II", res.window_len, res.hop_len))
-        f.write(struct.pack("<III", w, h, n))
+        f.write(_DIMS.pack(w, h, n, len(table)))
+        f.write(table)
         for i in range(n):
-            raw_id = cache.ids[i].encode("utf-8")
-            if len(raw_id) > 0xFFFF:
-                raise ValueError(f"utterance id too long: {cache.ids[i]!r}")
-            f.write(struct.pack("<H", len(raw_id)) + raw_id + struct.pack("<B", int(cache.labels[i])))
-            f.write(payload[i])
+            f.write(np.ascontiguousarray(cache.stacks[i : i + 1], dtype=_ROW_DTYPE))
 
 
-def _read_exact(f: BinaryIO, size: int, what: str) -> bytes:
-    raw = f.read(size)
+def _pread_exact(fd: int, size: int, offset: int, what: str) -> bytes:
+    raw = os.pread(fd, size, offset)
     if len(raw) != size:
         raise ValueError(f"file ends inside {what}")
     return raw
 
 
+def _parse_table(raw: bytes, n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    ids = []
+    labels = np.empty(n, dtype=np.uint8)
+    pos = 0
+    for i in range(n):
+        (id_len,) = struct.unpack_from("<H", raw, pos)
+        end = pos + 2 + id_len
+        if end >= len(raw):
+            raise ValueError(f"table ends inside utterance {i}'s id or label")
+        ids.append(raw[pos + 2 : end].decode("utf-8"))
+        labels[i] = raw[end]
+        pos = end + 1
+    if pos != len(raw):
+        raise ValueError(f"{len(raw) - pos} table bytes after {n} entries")
+    return tuple(ids), labels
+
+
+def _read_header(fd: int, path: str | Path):
+    """Resolutions, (N, M, W, H), payload offset, ids and labels, checked against the file size."""
+    size = os.fstat(fd).st_size
+    head = os.pread(fd, _PREFIX.size, 0)
+    if len(head) < _PREFIX.size or head[:4] != MAGIC:
+        raise CacheFormatError(f"{path}: not a feature cache (bad magic)")
+    _, version, m = _PREFIX.unpack(head)
+    if version == 1:
+        raise CacheFormatError(
+            f"{path}: cache version 1 is no longer readable (this build reads version {VERSION}); "
+            "rerun 'extract' to rebuild it"
+        )
+    if version != VERSION:
+        raise CacheFormatError(f"{path}: unsupported cache version {version}")
+    try:
+        raw = _pread_exact(fd, 8 * m + _DIMS.size, _PREFIX.size, "the header")
+        resolutions = tuple(
+            ResolutionSpec(*struct.unpack_from("<II", raw, 8 * i)) for i in range(m)
+        )
+        w, h, n, table_bytes = _DIMS.unpack_from(raw, 8 * m)
+        row_bytes = _ROW_DTYPE.itemsize * m * w * h
+        offset = _PREFIX.size + len(raw) + table_bytes
+        if 3 * n > table_bytes:
+            raise ValueError(f"a {table_bytes}-byte table cannot hold {n} utterances")
+        extra = size - (offset + n * row_bytes)
+        if extra < 0:
+            raise ValueError(f"{size} bytes cannot hold {n} utterances of {row_bytes} feature bytes")
+        if extra > 0:
+            raise ValueError(f"{extra} trailing bytes after the payload")
+        ids, labels = _parse_table(_pread_exact(fd, table_bytes, offset - table_bytes, "the table"), n)
+    except (struct.error, ValueError) as exc:
+        raise CacheFormatError(f"{path}: truncated or corrupt cache ({exc})") from exc
+    return resolutions, (n, m, w, h), offset, ids, labels
+
+
 def read_cache(path: str | Path) -> FeatureCache:
-    """Parse a cache, reading each utterance's block straight into `stacks`."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(8)
-        if len(head) < 8 or head[:4] != MAGIC:
-            raise CacheFormatError(f"{path}: not a feature cache (bad magic)")
-        version, m = struct.unpack_from("<HH", head, 4)
-        if version != VERSION:
-            raise CacheFormatError(f"{path}: unsupported cache version {version}")
-        try:
-            resolutions = []
-            for _ in range(m):
-                window, hop = struct.unpack("<II", _read_exact(f, 8, "the resolution table"))
-                resolutions.append(ResolutionSpec(window, hop))
-            w, h, n = struct.unpack("<III", _read_exact(f, 12, "the dimensions"))
-            block = 4 * m * w * h
-            if n * (3 + block) > size - f.tell():
-                raise ValueError(f"{size} bytes cannot hold {n} utterances of {block} feature bytes")
-            stacks = np.empty((n, m, w, h), dtype="<f4")
-            ids = []
-            labels = np.empty(n, dtype=np.uint8)
-            for i in range(n):
-                (id_len,) = struct.unpack("<H", _read_exact(f, 2, f"utterance {i}'s id length"))
-                raw = _read_exact(f, id_len + 1, f"utterance {i}'s id or label")
-                ids.append(raw[:id_len].decode("utf-8"))
-                labels[i] = raw[id_len]
-                if f.readinto(stacks[i]) != block:
-                    raise ValueError(f"file ends inside utterance {i}'s features")
-            cache = FeatureCache(tuple(resolutions), stacks, tuple(ids), labels)
-        except (struct.error, ValueError) as exc:
-            raise CacheFormatError(f"{path}: truncated or corrupt cache ({exc})") from exc
-        trailing = size - f.tell()
-    if trailing:
-        raise CacheFormatError(f"{path}: {trailing} trailing bytes after payload")
-    return cache
+    """Open a cache: check its header, table and size, and read no payload.
+
+    The returned cache's `stacks` is a `CacheRows` that keeps the file open
+    and reads rows when indexed.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        resolutions, shape, offset, ids, labels = _read_header(fd, path)
+    except BaseException:
+        os.close(fd)
+        raise
+    rows = CacheRows(path, fd, offset, shape)
+    try:
+        return FeatureCache(resolutions, rows, ids, labels)
+    except ValueError as exc:
+        rows.close()
+        raise CacheFormatError(f"{path}: truncated or corrupt cache ({exc})") from exc

@@ -11,9 +11,10 @@ Text formats (UTF-8, tab-separated, one record per line):
 * score file:     ``utt_id<TAB>label<TAB>score`` with the score printed at
   full round-trip precision (at least 6 significant digits)
 
-Feature caches, checkpoints, train logs, prune reports, score files and DET
-files are written through :func:`atomic_write`, so a crash mid-write never
-leaves a half-written artifact at its final path.
+Every artifact the pipeline writes (WAVs, protocol files, feature caches,
+checkpoints, train logs, prune reports, score files and DET files) goes
+through :func:`atomic_write`, so a crash mid-write never leaves a
+half-written artifact at its final path.
 """
 
 from __future__ import annotations
@@ -189,7 +190,9 @@ def write_wav(path: str | Path, waveform: Waveform) -> None:
         16,  # bits per sample
     )
     header += b"data" + struct.pack("<I", len(payload))
-    Path(path).write_bytes(header + payload)
+    with atomic_write(path) as f:
+        f.write(header)
+        f.write(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +275,8 @@ def write_protocol(entries: list[ProtocolEntry], path: str | Path) -> None:
             raise ProtocolError(f"duplicate utt_id {e.utt_id!r}")
         seen.add(e.utt_id)
         lines.append(f"{e.utt_id}\t{e.label.token}\t{e.path}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,8 @@ def score_cache(model: Model, cache: FeatureCache, batch_size: int = SCORE_BATCH
     builds no backward cache and drops each activation once it is read. A
     score does not depend on the chunk it is computed in (per-example conv
     blocks, einsum gates and head), so `batch_size` sets memory, not output.
+    Each chunk is a slice of `cache.stacks`, so a cache opened by
+    `read_cache` is read from disk one chunk at a time.
     """
     dtype = model.backend.fc_weight.dtype
     scores = np.empty(cache.n_utterances, dtype=np.float64)
@@ -175,6 +177,9 @@ def train(
     length differs from the target. Only WAVs longer than the target get a
     new random crop; shorter ones are tiled the same way every epoch, so for
     a corpus shorter than the target the reloaded stacks equal the cached ones.
+
+    Each batch indexes the train stacks with its slice of the permutation,
+    so a cache opened by `read_cache` is read from disk one batch at a time.
 
     Emits one log line per epoch, `epoch<TAB>train_loss<TAB>dev_eer`, then
     `retained_epoch<TAB>k`.

@@ -239,7 +239,7 @@ def test_criterion_9_format_round_trips(tmp_path):
     write_cache(cache, tmp_path / "c.mrfe")
     cback = read_cache(tmp_path / "c.mrfe")
     ok &= cback.ids == cache.ids and bool(
-        (cback.stacks.view(np.uint32) == stacks.view(np.uint32)).all()
+        (cback.stacks[:].view(np.uint32) == stacks.view(np.uint32)).all()
     )
 
     # checkpoint: float64 parameters byte-exact through save/load

@@ -1,6 +1,9 @@
+import errno
+
 import numpy as np
 import pytest
 
+from multires import signal_io
 from multires.corpus import (
     PEAK_AMPLITUDE,
     SPLITS,
@@ -122,3 +125,44 @@ def test_spoof_is_resynthesis_of_matching_bonafide(tmp_path):
     path = tmp_path / "rebuilt.wav"
     write_wav(path, spoof)
     assert path.read_bytes() == (tmp_path / "wav/dev_s0000.wav").read_bytes()
+
+
+class _DiskFull:
+    """A binary file that takes `room` bytes, then fails as a full disk would."""
+
+    def __init__(self, f, room):
+        self.f, self.room = f, room
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.f.write(data[: self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+@pytest.mark.parametrize("failing", ["train_b0002.wav", "dev_protocol.tsv"])
+def test_generate_corpus_write_failing_midway_leaves_nothing_partial(tmp_path, monkeypatch, failing):
+    def open_filling_up(path, mode):
+        f = open(path, mode)
+        return _DiskFull(f, 20) if str(path).endswith(failing + ".tmp") else f
+
+    monkeypatch.setattr(signal_io, "open", open_filling_up, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        generate_corpus(SMALL, tmp_path)
+    written = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+    assert failing not in written
+    assert not [name for name in written if name.endswith(".tmp")]
+    # everything written before the failure is whole
+    for path in (tmp_path / "wav").iterdir():
+        assert read_wav(path).samples.size == 400
+    for path in tmp_path.glob("*_protocol.tsv"):
+        assert len(read_protocol(path)) == 5
+    assert len(written) == (2 if failing.endswith(".wav") else 5 + 1 + 3)

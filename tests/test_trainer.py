@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multires.backend import BackendConfig
-from multires.cache import FeatureCache
+from multires.cache import FeatureCache, read_cache, write_cache
 from multires.model import init_model, model_forward, model_params
 from multires.stft import ResolutionSpec
 from multires.trainer import (
@@ -247,3 +247,25 @@ def test_score_cache_keeps_no_backward_cache():
     cached = peak(lambda: model_forward(stacks.astype(np.float64), model))
     scoring = peak(lambda: score_cache(model, cache))
     assert scoring <= 0.75 * cached, f"scoring peak {scoring / cached:.2f}x the cached forward's"
+
+
+def test_train_on_disk_cache_holds_batches_not_the_split(tmp_path):
+    # a cache opened from disk is read a batch at a time, so opening both
+    # splits and training stays below the train split's bytes; the model is
+    # bitwise the one trained on the same stacks in memory
+    train_mem, dev_mem = _caches(n_train=512, n_dev=16, w=16, h=17)
+    for name, cache in (("train", train_mem), ("dev", dev_mem)):
+        write_cache(cache, tmp_path / f"{name}.mrfe")
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=0, warmup_steps=8, dtype="float32")
+    in_memory = train(train_mem, dev_mem, cfg, SLIM)  # also fills one-time lazy state
+
+    tracemalloc.start()
+    try:
+        from_disk = train(read_cache(tmp_path / "train.mrfe"), read_cache(tmp_path / "dev.mrfe"), cfg, SLIM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < train_mem.stacks.nbytes, f"peak {peak} B for a {train_mem.stacks.nbytes} B split"
+    assert from_disk.log_lines == in_memory.log_lines
+    for a, b in zip(model_params(from_disk.model), model_params(in_memory.model)):
+        assert a.tobytes() == b.tobytes()
