@@ -5,12 +5,10 @@ straight into channel ``m`` of the split's ``(N, M, W, H)`` array.  The grid
 is ``alignment.target`` or, for ``max``, :func:`max_grid`: the largest frame
 and bin counts over the resolutions, known from the sample count alone.
 
-Two alignment methods:
-
-* adaptive average pooling: output bin ``i`` (of ``Out`` bins over ``In``
-  inputs) averages input indices ``[floor(i*In/Out), ceil((i+1)*In/Out))``,
-  applied to rows first, then columns
-* nearest-neighbor resampling: ``out[i][j] = in[floor(i*In_w/Out_w)][floor(j*In_h/Out_h)]``
+Alignment is adaptive average pooling: output bin ``i`` (of ``Out`` bins
+over ``In`` inputs) averages input indices
+``[floor(i*In/Out), ceil((i+1)*In/Out))``, applied to rows first, then
+columns; an axis that already has ``Out`` entries is left as it is.
 
 Pooling one axis follows a plan that is built once per ``(In, Out)`` pair and
 cached: the bin starts, the bin widths, and for each offset ``k >= 1`` the bins
@@ -24,17 +22,11 @@ column pass runs on a contiguous copy of the transposed row-pooled map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .stft import ResolutionSpec, frame_count
-
-
-class AlignMethod(str, Enum):
-    ADAPTIVE_POOL = "adaptive_pool"
-    NEAREST = "nearest"
 
 
 def pool_bins(n_in: int, n_out: int) -> list[tuple[int, int]]:
@@ -80,31 +72,6 @@ def _pool_axis0(mat: np.ndarray, n_out: int) -> np.ndarray:
     return acc
 
 
-def adaptive_avg_pool(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
-    """Separable average pooling to (w_out, h_out); rows first, then columns."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-D map")
-    if not np.issubdtype(mat.dtype, np.floating):
-        mat = mat.astype(np.float64)
-    rows = mat if mat.shape[0] == w_out else _pool_axis0(mat, w_out)
-    if rows.shape[1] == h_out:
-        return rows.copy() if rows is mat else rows
-    return np.ascontiguousarray(_pool_axis0(np.ascontiguousarray(rows.T), h_out).T)
-
-
-def nearest_upsample(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
-    mat = np.asarray(mat)
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-D map")
-    if w_out < 1 or h_out < 1:
-        raise ValueError("output dims must be >= 1")
-    w_in, h_in = mat.shape
-    wi = np.arange(w_out) * w_in // w_out
-    hi = np.arange(h_out) * h_in // h_out
-    return mat[np.ix_(wi, hi)].copy()
-
-
 def max_grid(resolutions: tuple[ResolutionSpec, ...], n_samples: int) -> tuple[int, int]:
     """The ``alignment.target = max`` grid: the largest frame and bin counts
     of the resolutions' maps over an ``n_samples``-sample signal."""
@@ -114,7 +81,11 @@ def max_grid(resolutions: tuple[ResolutionSpec, ...], n_samples: int) -> tuple[i
     )
 
 
-def align_map(mat: np.ndarray, method: AlignMethod, w_out: int, h_out: int) -> np.ndarray:
-    if method is AlignMethod.ADAPTIVE_POOL:
-        return adaptive_avg_pool(mat, w_out, h_out)
-    return nearest_upsample(mat, w_out, h_out)
+def align_map(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
+    """Pool a float map to (w_out, h_out); rows first, then columns."""
+    if mat.ndim != 2:
+        raise ValueError("expected a 2-D map")
+    rows = mat if mat.shape[0] == w_out else _pool_axis0(mat, w_out)
+    if rows.shape[1] == h_out:
+        return rows.copy() if rows is mat else rows
+    return np.ascontiguousarray(_pool_axis0(np.ascontiguousarray(rows.T), h_out).T)

@@ -22,6 +22,7 @@ from .pipeline import (
     run_train,
     weight_report,
 )
+from .trainer import TrainingDivergedError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "inspect-weights":
             sys.stdout.write(weight_report(config, args.checkpoint))
         return 0
-    except (ConfigError, PipelineError, OSError, ValueError) as exc:
+    except (ConfigError, PipelineError, TrainingDivergedError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, get_type_hints
 
-from .alignment import AlignMethod
 from .backend import BackendConfig
 from .corpus import SPLITS, CorpusSpec
 from .metrics import TdcfParams
@@ -44,7 +43,6 @@ class ConfigError(ValueError):
 class AppConfig:
     corpus: CorpusSpec
     resolutions: tuple[ResolutionSpec, ...]
-    align_method: AlignMethod
     align_target: tuple[int, int] | None  # None = max rule over the map sizes
     train: TrainConfig
     backend: BackendConfig
@@ -104,7 +102,6 @@ _TOP_LEVEL: dict[str, tuple[str, str, Callable[[str], Any], Callable[[Any], str]
         _parse_resolutions,
         lambda rs: ",".join(map(str, rs)),
     ),
-    "align_method": ("alignment.method", "adaptive_pool", AlignMethod, lambda m: m.value),
     "align_target": (
         "alignment.target",
         "max",

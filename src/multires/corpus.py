@@ -43,6 +43,9 @@ class CorpusSpec:
         for name in ("n_train", "n_dev", "n_eval", "duration_s", "sample_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("n_dev", "n_eval"):  # an EER needs both classes
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2 (a bona fide and a spoof utterance)")
 
     def split_size(self, split: str) -> int:
         return {"train": self.n_train, "dev": self.n_dev, "eval": self.n_eval}[split]

@@ -66,18 +66,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def bottleneck_weights(pooled: np.ndarray, params: ExcitationParams):
-    """FC -> ReLU -> FC -> sigmoid on pooled channel means (N, C) -> (N, C).
+def bottleneck_weights(x: np.ndarray, params: ExcitationParams):
+    """Global pool -> FC -> ReLU -> FC -> sigmoid: (N, C, W, H) -> (N, C) weights.
 
-    Returns (scales, hidden); backward reads the ReLU output `hidden` for
-    fc2's gradient and, as hidden > 0, for the ReLU's mask.
+    The channel means accumulate in the wider of x's and the parameters'
+    dtypes, so a float32 x read by a float64 predictor is not copied first.
+    Returns (pooled, scales, hidden); backward reads the pooled means for
+    fc1's gradient and the ReLU output `hidden` for fc2's gradient and, as
+    hidden > 0, for the ReLU's mask.
     """
+    pooled = x.mean(axis=(2, 3), dtype=np.result_type(x, params.fc1_weight))
     # einsum, not `@`: BLAS takes another path for a one-row batch, and an
     # utterance's gates must not depend on the size of its batch
     a = np.einsum("nc,hc->nh", pooled, params.fc1_weight) + params.fc1_bias
     r = np.maximum(a, 0.0)
     z = np.einsum("nh,ch->nc", r, params.fc2_weight) + params.fc2_bias
-    return _sigmoid(z), r
+    return pooled, _sigmoid(z), r
 
 
 @dataclass
@@ -98,8 +102,7 @@ def excite_forward(
     """
     if x.ndim != 4 or x.shape[1] != params.n_channels:
         raise ValueError(f"expected (N, {params.n_channels}, W, H) input, got {x.shape}")
-    pooled = x.mean(axis=(2, 3))
-    scales, hidden = bottleneck_weights(pooled, params)
+    pooled, scales, hidden = bottleneck_weights(x, params)
     y = x * scales[:, :, None, None]
     return y, ExciteCache(x, pooled, hidden, scales, params) if keep_cache else None
 

@@ -65,7 +65,8 @@ def config_fingerprint(config: AppConfig) -> str:
         [
             f"corpus={c.n_train},{c.n_dev},{c.n_eval},{c.duration_s!r},{c.sample_rate},{c.spoof_synthesis},{c.seed}",
             "resolutions=" + ",".join(str(r) for r in config.resolutions),
-            f"alignment={config.align_method.value},{target}",
+            # the method name stays in the text so existing cache file names stay valid
+            f"alignment=adaptive_pool,{target}",
             f"duration={config.train.target_duration_s!r}",
             f"crop_seed={config.train.seed}",
         ]
@@ -93,7 +94,8 @@ def extract_split(config: AppConfig, split: str, epoch: int = 0) -> FeatureCache
     """Protocol -> unified waveforms -> log-STFT maps -> the split's aligned stacks.
 
     The split's (N, M, W, H) float32 array is allocated first, and channel m
-    of utterance i is filled in place with the aligned map of resolution m.
+    of utterance i is filled in place with resolution m's map, average-pooled
+    onto the (W, H) grid by `align_map`.
     `epoch` selects the crop stream for the train split; extraction to disk
     always uses epoch 0, and per-epoch recropping reuses later streams.
     """
@@ -111,7 +113,7 @@ def extract_split(config: AppConfig, split: str, epoch: int = 0) -> FeatureCache
         rng = _crop_rng(config, epoch, i) if split == "train" else None
         wave = unify_length(wave, config.train.target_duration_s, rng)
         for m, res in enumerate(config.resolutions):
-            stacks[i, m] = align_map(log_magnitude(stft(wave, res)), config.align_method, w, h)
+            stacks[i, m] = align_map(log_magnitude(stft(wave, res)), w, h)
     # a float64 sum of float32 values is finite exactly when every value is
     finite = np.isfinite(stacks.sum(axis=(1, 2, 3), dtype=np.float64))
     if not finite.all():

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from multires.alignment import adaptive_avg_pool
+from multires.alignment import align_map
 from multires.backend import BackendConfig
 from multires.cache import FeatureCache, read_cache, write_cache
 from multires.config import default_config, parse_config, serialize_config
@@ -79,16 +79,16 @@ def test_criterion_2_adaptive_pooling_matches_bin_formula():
     exact = True
     for n_in, n_out in itertools.product(range(1, 13), repeat=2):
         col = rng.standard_normal((n_in, 1))
-        got = adaptive_avg_pool(col, n_out, 1)
+        got = align_map(col, n_out, 1)
         want = np.array(pool_1d(list(col[:, 0]), n_out))[:, None]
         exact &= bool((got == want).all())
         row = rng.standard_normal((1, n_in))
-        got = adaptive_avg_pool(row, 1, n_out)
+        got = align_map(row, 1, n_out)
         want = np.array(pool_1d(list(row[0]), n_out))[None, :]
         exact &= bool((got == want).all())
     ident = np.arange(30.0).reshape(5, 6)
-    exact &= bool((adaptive_avg_pool(ident, 5, 6) == ident).all())
-    up = adaptive_avg_pool(np.array([[1.0], [2.0], [3.0], [4.0]]), 8, 1)[:, 0]
+    exact &= bool((align_map(ident, 5, 6) == ident).all())
+    up = align_map(np.array([[1.0], [2.0], [3.0], [4.0]]), 8, 1)[:, 0]
     exact &= up.tolist() == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
     _verdict(2, exact, "all (In, Out) <= 12 bitwise, identity, doubling example")
 

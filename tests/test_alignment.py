@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from multires.alignment import (
-    AlignMethod,
-    adaptive_avg_pool,
-    align_map,
-    max_grid,
-    nearest_upsample,
-    pool_bins,
-)
+from multires.alignment import align_map, max_grid, pool_bins
 from multires.signal_io import Waveform
 from multires.stft import ResolutionSpec, log_magnitude, stft
 
@@ -42,18 +35,18 @@ def test_pool_matches_brute_force_all_small_sizes():
             mat = rng.standard_normal((w_in, h_in))
             for w_out in range(1, 9):
                 for h_out in range(1, 9):
-                    got = adaptive_avg_pool(mat, w_out, h_out)
+                    got = align_map(mat, w_out, h_out)
                     np.testing.assert_allclose(got, pool_2d(mat, w_out, h_out), atol=1e-12)
 
 
 def test_pool_doubling_duplicates_entries():
-    out = adaptive_avg_pool(np.array([[1.0], [2.0], [3.0], [4.0]]), 8, 1)
+    out = align_map(np.array([[1.0], [2.0], [3.0], [4.0]]), 8, 1)
     np.testing.assert_array_equal(out[:, 0], [1, 1, 2, 2, 3, 3, 4, 4])
 
 
 def test_pool_identity_is_a_copy():
     mat = np.arange(12.0).reshape(3, 4)
-    out = adaptive_avg_pool(mat, 3, 4)
+    out = align_map(mat, 3, 4)
     np.testing.assert_array_equal(out, mat)
     out[0, 0] = 99.0
     assert mat[0, 0] == 0.0
@@ -63,7 +56,7 @@ def test_pool_accumulates_left_to_right():
     # bit-exact agreement with an explicit ordered summation loop
     rng = np.random.default_rng(5)
     mat = rng.standard_normal((7, 5))
-    got = adaptive_avg_pool(mat, 3, 2)
+    got = align_map(mat, 3, 2)
     for i, (ws, we) in enumerate(pool_bins(7, 3)):
         row = mat[ws].copy()
         for k in range(ws + 1, we):
@@ -77,7 +70,7 @@ def test_pool_accumulates_left_to_right():
 
 
 def _assert_pool_bit_exact(mat, w_out, h_out):
-    got = adaptive_avg_pool(mat, w_out, h_out)
+    got = align_map(mat, w_out, h_out)
     want = pool_2d_left_to_right(mat, w_out, h_out)
     assert got.dtype == mat.dtype and got.shape == (w_out, h_out)
     assert got.tobytes() == want.tobytes(), (mat.shape, w_out, h_out, mat.dtype)
@@ -109,25 +102,6 @@ def test_pool_bit_exact_real_map_shapes(dtype):
         _assert_pool_bit_exact(mat, 128, 129)
 
 
-def test_pool_casts_integer_input():
-    out = adaptive_avg_pool(np.array([[1, 2], [3, 4]]), 1, 1)
-    assert out.dtype == np.float64
-    assert out[0, 0] == 2.5
-
-
-def test_nearest_upsample_formula():
-    mat = np.arange(6.0).reshape(2, 3)
-    out = nearest_upsample(mat, 4, 6)
-    for i in range(4):
-        for j in range(6):
-            assert out[i, j] == mat[i * 2 // 4, j * 3 // 6]
-
-
-def test_nearest_upsample_identity():
-    mat = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(nearest_upsample(mat, 2, 3), mat)
-
-
 def _parse(text):
     return tuple(ResolutionSpec.parse(t) for t in text.split(","))
 
@@ -153,17 +127,14 @@ def test_align_and_stack_max_rule():
     maps = [log_magnitude(stft(wave, r1)), log_magnitude(stft(wave, r2))]
     assert [m.shape for m in maps] == [(21, 9), (6, 17)]
     assert max_grid((r1, r2), 80) == (21, 17)
-    stack = np.stack([align_map(m, AlignMethod.ADAPTIVE_POOL, 21, 17) for m in maps])
+    stack = np.stack([align_map(m, 21, 17) for m in maps])
     assert stack.shape == (2, 21, 17)
-    np.testing.assert_array_equal(stack[0], adaptive_avg_pool(maps[0], 21, 17))
-    np.testing.assert_array_equal(stack[1], adaptive_avg_pool(maps[1], 21, 17))
+    np.testing.assert_array_equal(stack[0], pool_2d_left_to_right(maps[0], 21, 17))
+    np.testing.assert_array_equal(stack[1], pool_2d_left_to_right(maps[1], 21, 17))
 
 
 def test_align_map_methods():
     mat = np.random.default_rng(4).standard_normal((6, 17))
     for w_out, h_out in ((21, 17), (8, 8), (6, 17)):
-        pooled = align_map(mat, AlignMethod.ADAPTIVE_POOL, w_out, h_out)
-        assert pooled.tobytes() == adaptive_avg_pool(mat, w_out, h_out).tobytes()
-        nearest = align_map(mat, AlignMethod.NEAREST, w_out, h_out)
-        assert nearest.shape == (w_out, h_out)
-        np.testing.assert_array_equal(nearest, nearest_upsample(mat, w_out, h_out))
+        pooled = align_map(mat, w_out, h_out)
+        assert pooled.tobytes() == pool_2d_left_to_right(mat, w_out, h_out).tobytes()

@@ -7,6 +7,7 @@ import pytest
 
 import multires
 from multires.cli import main
+from multires.trainer import TrainingDivergedError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -178,6 +179,18 @@ def test_eval_missing_checkpoint_fails_cleanly(workspace, capsys):
     root, cfg = workspace
     assert main(["--config", str(cfg), "eval", str(root / "ckpt/absent.mrck")]) == 1
     assert "train" in capsys.readouterr().err
+
+
+def test_training_divergence_fails_cleanly(capsys, monkeypatch):
+    def diverge(config, progress):
+        raise TrainingDivergedError("non-finite loss at optimizer step 2 (epoch 1)")
+
+    monkeypatch.delenv("MULTIRES_CONFIG", raising=False)
+    monkeypatch.setattr("multires.cli.run_train", diverge)
+    assert main(["train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at optimizer step 2")
+    assert "Traceback" not in err
 
 
 def test_unknown_command_exits_with_usage():

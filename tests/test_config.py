@@ -1,8 +1,8 @@
+import re
 from pathlib import Path
 
 import pytest
 
-from multires.alignment import AlignMethod
 from multires.config import (
     _DEFAULTS,
     DEFAULT_RESOLUTIONS,
@@ -23,7 +23,6 @@ def test_defaults():
     assert cfg.corpus.spoof_synthesis == ResolutionSpec(256, 64)
     assert len(cfg.resolutions) == 13
     assert cfg.resolutions == tuple(ResolutionSpec.parse(r) for r in DEFAULT_RESOLUTIONS)
-    assert cfg.align_method is AlignMethod.ADAPTIVE_POOL
     assert cfg.align_target is None
     assert cfg.train.dtype == "float64"
     assert cfg.weights_split == "dev"
@@ -54,16 +53,20 @@ def test_unknown_key_rejected_with_location():
         parse_config("corpus.seed = 1\ntrain.lr = 0.1\n")
 
 
-def test_n_classes_key_rejected():
-    # the head always has two logits, spoof and bona fide, so the key is gone
-    with pytest.raises(ConfigError, match=r"unknown config key 'backend\.n_classes'"):
-        parse_config("backend.n_classes = 2\n")
-
-
-def test_recrop_each_epoch_key_rejected():
-    # recropping follows from the train WAV lengths alone, so the key is gone
-    with pytest.raises(ConfigError, match=r"unknown config key 'train\.recrop_each_epoch'"):
-        parse_config("train.recrop_each_epoch = false\n")
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        # the head always has two logits, spoof and bona fide
+        pytest.param("backend.n_classes", "2", id="backend.n_classes"),
+        # recropping follows from the train WAV lengths alone
+        pytest.param("train.recrop_each_epoch", "false", id="train.recrop_each_epoch"),
+        # adaptive average pooling is the only alignment
+        pytest.param("alignment.method", "adaptive_pool", id="alignment.method"),
+    ],
+)
+def test_removed_key_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
+        parse_config(f"{key} = {value}\n")
 
 
 def test_missing_equals_rejected():
@@ -76,8 +79,6 @@ def test_bad_value_names_key():
         parse_config("corpus.sample_rate = loud\n")
     with pytest.raises(ConfigError, match="alignment.target"):
         parse_config("alignment.target = wide\n")
-    with pytest.raises(ConfigError, match="alignment.method"):
-        parse_config("alignment.method = bilinear\n")
     # the source is named once, not once per wrapping
     with pytest.raises(ConfigError) as info:
         parse_config("features.resolutions = 12x\n", source="run.cfg")
@@ -94,6 +95,8 @@ def test_semantic_validation():
     # values each section's own validation rejects, reported under the key
     for line, match in [
         ("corpus.n_dev = 0", r"corpus\.n_dev"),
+        ("corpus.n_dev = 1", r"corpus\.n_dev must be >= 2"),
+        ("corpus.n_eval = 1", r"corpus\.n_eval must be >= 2"),
         ("train.epochs = 0", r"train\.epochs"),
         ("train.dtype = float16", r"train\.dtype"),
         ("backend.se_reduction = 32", r"backend\.se_reduction"),
@@ -135,7 +138,6 @@ NON_DEFAULTS = {
     "corpus.spoof_synthesis": "512/128",
     "corpus.seed": "5",
     "features.resolutions": "128/32,256/64",
-    "alignment.method": "nearest",
     "alignment.target": "64x65",
     "train.epochs": "3",
     "train.batch_size": "4",
@@ -164,7 +166,6 @@ def _field(cfg, key):
         return getattr(getattr(cfg, section), name)
     return {
         "features.resolutions": cfg.resolutions,
-        "alignment.method": cfg.align_method,
         "alignment.target": cfg.align_target,
         "weights.split": cfg.weights_split,
         "paths.corpus_dir": cfg.corpus_dir,

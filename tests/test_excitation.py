@@ -34,8 +34,9 @@ def test_params_shape_validation():
 def test_bottleneck_weights_compositional():
     # straight recomputation through separate numpy calls
     p = _params()
-    pooled = np.random.default_rng(1).standard_normal((4, 5))
-    scales, r = bottleneck_weights(pooled, p)
+    x = np.random.default_rng(1).standard_normal((4, 5, 3, 2))
+    pooled, scales, r = bottleneck_weights(x, p)
+    np.testing.assert_array_equal(pooled, x.mean(axis=(2, 3)))
     a_ref = pooled @ p.fc1_weight.T + p.fc1_bias
     r_ref = np.where(a_ref > 0, a_ref, 0.0)
     z_ref = r_ref @ p.fc2_weight.T + p.fc2_bias
@@ -52,21 +53,21 @@ def test_outputs_do_not_depend_on_batch_size(dtype):
         p = init_excitation(c, max(1, c // 4), fresh_weights(rng, dtype))
         x = rng.standard_normal((n, c, 4, 5)).astype(dtype)
         y, cache = excite_forward(x, p)
-        scales, r = bottleneck_weights(cache.pooled, p)
+        batch = bottleneck_weights(x, p)
         for i in range(n):
             y1, cache1 = excite_forward(x[i : i + 1], p)
             assert y1[0].tobytes() == y[i].tobytes()
             assert cache1.scales[0].tobytes() == cache.scales[i].tobytes()
-            one = bottleneck_weights(cache.pooled[i : i + 1], p)
-            for got, want in zip(one, (scales, r)):
+            one = bottleneck_weights(x[i : i + 1], p)
+            for got, want in zip(one, batch):
                 assert got.dtype == dtype
                 assert got[0].tobytes() == want[i].tobytes()
 
 
 def test_sigmoid_stable_at_large_magnitudes():
     p = ExcitationParams(np.eye(2) * 50, np.zeros(2), np.eye(2), np.zeros(2))
-    pooled = np.array([[20.0, -20.0]])
-    scales, _ = bottleneck_weights(pooled, p)
+    x = np.array([[20.0, -20.0]])[:, :, None, None]
+    _, scales, _ = bottleneck_weights(x, p)
     assert np.isfinite(scales).all()
     assert scales[0, 0] > 0.999999
     assert 0.0 < scales[0, 1]
@@ -76,7 +77,7 @@ def test_forward_scales_each_channel():
     p = _params(c=3, h=2)
     x = np.random.default_rng(2).standard_normal((2, 3, 4, 5))
     y, cache = excite_forward(x, p)
-    scales, _ = bottleneck_weights(x.mean(axis=(2, 3)), p)
+    _, scales, _ = bottleneck_weights(x, p)
     np.testing.assert_allclose(y, x * scales[:, :, None, None], atol=0)
     np.testing.assert_array_equal(cache.pooled, x.mean(axis=(2, 3)))
 

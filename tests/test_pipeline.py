@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from multires import pipeline
-from multires.alignment import align_map
 from multires.config import parse_config
 from multires.pipeline import (
     PipelineError,
@@ -28,6 +27,8 @@ from multires.pipeline import (
 from multires.signal_io import read_protocol, read_scores, read_wav, unify_length
 from multires.stft import ResolutionSpec, log_magnitude, stft
 from multires.weighting import mean_weights_over_set
+
+from oracles import pool_2d_left_to_right
 
 
 def _config(tmp_path, **overrides):
@@ -85,6 +86,9 @@ def test_fingerprint_sensitivity(tmp_path):
     # keys that do not affect cache bytes leave the fingerprint alone
     assert config_fingerprint(_config(tmp_path, **{"train.epochs": "9"})) == config_fingerprint(base)
     assert config_fingerprint(_config(tmp_path, **{"backend.stages": "3"})) == config_fingerprint(base)
+    # pinned, so existing cache file names stay valid
+    assert config_fingerprint(parse_config("")) == "5d389358"
+    assert config_fingerprint(parse_config("alignment.target = 128x129")) == "7b1659b4"
 
 
 def test_artifact_paths(tmp_path):
@@ -134,7 +138,7 @@ def test_train_crops_differ_by_epoch(run_dir):
 
 
 def _assert_channels(config, split, grid, epoch=0):
-    # channel m of utterance i is resolution m's map, aligned and cast to float32
+    # channel m of utterance i is resolution m's map, pooled onto the grid and cast to float32
     cache = extract_split(config, split, epoch=epoch)
     entries = read_protocol(config.corpus_dir / f"{split}_protocol.tsv")
     assert cache.stacks.shape == (len(entries), len(config.resolutions)) + grid
@@ -145,7 +149,7 @@ def _assert_channels(config, split, grid, epoch=0):
         rng = _crop_rng(config, epoch, i) if split == "train" else None
         wave = unify_length(read_wav(config.corpus_dir / entry.path), config.train.target_duration_s, rng)
         for m, res in enumerate(config.resolutions):
-            want = align_map(log_magnitude(stft(wave, res)), config.align_method, *grid)
+            want = pool_2d_left_to_right(log_magnitude(stft(wave, res)), *grid)
             assert cache.stacks[i, m].tobytes() == want.astype(np.float32).tobytes(), (i, m)
 
 
@@ -157,7 +161,7 @@ def test_extract_split_explicit_target(run_dir):
 
 def test_extract_split_nearest_max(run_dir):
     tmp_path, _ = run_dir
-    config = _config(tmp_path, **{"alignment.target": "max", "alignment.method": "nearest"})
+    config = _config(tmp_path, **{"alignment.target": "max"})
     # 0.25 s at 2 kHz is 500 samples: 32/8 gives 63 frames, 64/16 gives 33 bins
     _assert_channels(config, "dev", (63, 33))
 
