@@ -16,20 +16,23 @@ Layout (version 2), all integers little-endian:
              payload_offset + n * (4 * M * W * H)
 
 The header alone fixes the file size, so `read_cache` checks it against the
-file before it reads the table, and reads no payload at all.  The cache it
-returns holds a `CacheRows` in place of the stacks: indexing it with a slice
-or an index array reads just those utterances from the file.  Version 1
-interleaved the ids with the payload and can no longer be read.
+file before it reads the table, and reads no payload at all.  A split's rows
+come from one `CacheRows`, which builds each utterance when it is indexed:
+`read_cache` reads it from the file, and `pipeline.extract_split` extracts it
+from the utterance's WAV, so `write_cache` streams freshly extracted rows to
+disk without holding the split.  Version 1 interleaved the ids with the
+payload and can no longer be read.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 import struct
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -48,64 +51,42 @@ class CacheFormatError(ValueError):
 
 
 class CacheRows:
-    """The (N, M, W, H) float32 payload of an open cache file, read on demand.
+    """A split's (N, M, W, H) float32 rows, built one utterance at a time.
 
-    ``rows[k]``, ``rows[a:b]`` and ``rows[index_array]`` each return a fresh
-    ndarray holding only those utterances, read with ``os.preadv`` straight
-    into the result, so no page of the file stays mapped into the process.
-    The descriptor is closed when this object is garbage collected.
+    ``rows[a:b]`` and ``rows[index_array]`` (a step-1 slice or a 1-D array of
+    non-negative integers) each return a fresh ndarray holding only those
+    utterances, in that order: ``fill(out, n)`` writes utterance n's
+    (M, W, H) block into ``out``, once per requested row.
     """
 
-    def __init__(self, path: str | Path, fd: int, offset: int, shape: tuple[int, int, int, int]):
-        self.path = path
+    def __init__(self, shape: tuple[int, int, int, int], fill: Callable[[np.ndarray, int], None]):
         self.shape = shape
         self.dtype = _ROW_DTYPE
-        self._fd = fd
-        self._offset = offset
-        self._row_bytes = _ROW_DTYPE.itemsize * math.prod(shape[1:])
-        self._close = weakref.finalize(self, os.close, fd)
+        self._fill = fill
 
     def __getitem__(self, key) -> np.ndarray:
         n = self.shape[0]
-        if isinstance(key, slice):
-            start, stop, step = key.indices(n)
-            if step == 1:
-                out = np.empty((max(stop - start, 0),) + self.shape[1:], dtype=self.dtype)
-                self._read_into(out, start)
-                return out
-            key = range(start, stop, step)
-        idx = np.asarray(key)
-        if isinstance(key, tuple) or idx.dtype.kind not in "iu" or idx.ndim > 1:
-            raise IndexError(f"cache rows take an int, a slice or a 1-D integer array, not {key!r}")
-        if idx.size and (idx.min() < -n or idx.max() >= n):
-            raise IndexError(f"row index out of range for {n} utterances")
-        rows = idx.reshape(-1) % max(n, 1)
-        out = np.empty((rows.size,) + self.shape[1:], dtype=self.dtype)
-        for j, row in enumerate(rows.tolist()):
-            self._read_into(out[j : j + 1], row)
-        return out[0] if idx.ndim == 0 else out
-
-    def _read_into(self, out: np.ndarray, row: int) -> None:
-        view = memoryview(out.reshape(-1).view(np.uint8))
-        offset = self._offset + row * self._row_bytes
-        done = 0
-        while done < len(view):
-            got = os.preadv(self._fd, [view[done:]], offset + done)
-            if got == 0:
-                raise CacheFormatError(f"{self.path}: file ends inside utterance {row}'s features")
-            done += got
-
-    def close(self) -> None:
-        """Close the descriptor now; later reads fail."""
-        self._close()
+        if isinstance(key, slice) and key.step in (None, 1):
+            rows = range(*key.indices(n))
+        elif isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu":
+            if key.size and (key.min() < 0 or key.max() >= n):
+                raise IndexError(f"row index out of range for {n} utterances")
+            rows = key.tolist()
+        else:
+            raise IndexError(f"cache rows take a step-1 slice or a 1-D integer array, not {key!r}")
+        out = np.empty((len(rows),) + self.shape[1:], dtype=self.dtype)
+        for j, row in enumerate(rows):
+            self._fill(out[j], row)
+        return out
 
 
 @dataclass
 class FeatureCache:
     """Aligned stacks for one split: stacks[n] is utterance n's (M, W, H) block.
 
-    `stacks` is an in-memory array for a freshly extracted split, or the
-    `CacheRows` of a cache file opened by `read_cache`; both index the same way.
+    `stacks` is an in-memory array, or the `CacheRows` of a split being
+    extracted or of a cache file opened by `read_cache`; all index the same
+    way for a slice or an index array.
     """
 
     resolutions: tuple[ResolutionSpec, ...]
@@ -141,8 +122,9 @@ class FeatureCache:
 def write_cache(cache: FeatureCache, path: str | Path) -> None:
     """Stream the cache to `path` through `atomic_write`.
 
-    The table is built first; then each utterance's bytes go straight from
-    `stacks` to the file, so no copy of the split is held. A failure
+    The table is built first; then each utterance's row is read from
+    `stacks` (and so, for a split being extracted, computed) and written
+    before the next, so no copy of the split is held. A failure
     part-way removes the temp file and leaves any earlier file at `path` as
     it was.
     """
@@ -222,21 +204,35 @@ def _read_header(fd: int, path: str | Path):
     return resolutions, (n, m, w, h), offset, ids, labels
 
 
+def _pread_row(fd: int, path: str | Path, offset: int, out: np.ndarray, row: int) -> None:
+    view = memoryview(out.reshape(-1).view(np.uint8))
+    offset += row * len(view)
+    done = 0
+    while done < len(view):
+        got = os.preadv(fd, [view[done:]], offset + done)
+        if got == 0:
+            raise CacheFormatError(f"{path}: file ends inside utterance {row}'s features")
+        done += got
+
+
 def read_cache(path: str | Path) -> FeatureCache:
     """Open a cache: check its header, table and size, and read no payload.
 
-    The returned cache's `stacks` is a `CacheRows` that keeps the file open
-    and reads rows when indexed.
+    The returned cache's `stacks` is a `CacheRows` that reads rows from the
+    file with ``os.preadv`` straight into the result, so no page of the file
+    stays mapped into the process. It keeps the file open until it is
+    garbage collected.
     """
     fd = os.open(path, os.O_RDONLY)
     try:
         resolutions, shape, offset, ids, labels = _read_header(fd, path)
+        rows = CacheRows(shape, functools.partial(_pread_row, fd, path, offset))
+        try:
+            cache = FeatureCache(resolutions, rows, ids, labels)
+        except ValueError as exc:
+            raise CacheFormatError(f"{path}: truncated or corrupt cache ({exc})") from exc
     except BaseException:
         os.close(fd)
         raise
-    rows = CacheRows(path, fd, offset, shape)
-    try:
-        return FeatureCache(resolutions, rows, ids, labels)
-    except ValueError as exc:
-        rows.close()
-        raise CacheFormatError(f"{path}: truncated or corrupt cache ({exc})") from exc
+    weakref.finalize(rows, os.close, fd)
+    return cache

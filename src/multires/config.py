@@ -22,6 +22,7 @@ from typing import Any, Callable, NamedTuple, get_type_hints
 from .backend import BackendConfig
 from .corpus import SPLITS, CorpusSpec
 from .metrics import TdcfParams
+from .signal_io import sample_count
 from .stft import ResolutionSpec
 from .trainer import TrainConfig
 
@@ -61,6 +62,14 @@ class AppConfig:
             raise ConfigError(f"weights.split must be one of {SPLITS}")
         if self.align_target is not None and min(self.align_target) < 1:
             raise ConfigError("alignment.target dims must be >= 1")
+        n_samples = sample_count(self.train.target_duration_s, self.corpus.sample_rate)
+        for res in self.resolutions:
+            if n_samples < res.min_samples:
+                raise ConfigError(
+                    f"features.resolutions entry {res} needs at least {res.min_samples} samples, "
+                    f"but train.target_duration_s = {self.train.target_duration_s!r} gives {n_samples} "
+                    f"at {self.corpus.sample_rate} Hz"
+                )
 
 
 def _parse_target(raw: str) -> tuple[int, int] | None:

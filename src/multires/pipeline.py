@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import align_map, max_grid
-from .cache import FeatureCache, read_cache, write_cache
+from .cache import CacheRows, FeatureCache, read_cache, write_cache
 from .config import AppConfig, with_resolutions
 from .corpus import SPLITS, generate_corpus
 from .metrics import (
@@ -93,9 +93,10 @@ def _crop_rng(config: AppConfig, epoch: int, index: int) -> np.random.Generator:
 def extract_split(config: AppConfig, split: str, epoch: int = 0) -> FeatureCache:
     """Protocol -> unified waveforms -> log-STFT maps -> the split's aligned stacks.
 
-    The split's (N, M, W, H) float32 array is allocated first, and channel m
-    of utterance i is filled in place with resolution m's map, average-pooled
-    onto the (W, H) grid by `align_map`.
+    The stacks are a `CacheRows` that extracts an utterance when its row is
+    read: channel m is resolution m's map, average-pooled onto the (W, H)
+    grid by `align_map`, and a row with a non-finite value stops the read
+    with the utterance named. No array of the whole split is built.
     `epoch` selects the crop stream for the train split; extraction to disk
     always uses epoch 0, and per-epoch recropping reuses later streams.
     """
@@ -107,21 +108,21 @@ def extract_split(config: AppConfig, split: str, epoch: int = 0) -> FeatureCache
     entries = read_protocol(protocol)
     n_samples = sample_count(config.train.target_duration_s, config.corpus.sample_rate)
     w, h = config.align_target or max_grid(config.resolutions, n_samples)
-    stacks = np.empty((len(entries), len(config.resolutions), w, h), dtype=np.float32)
-    for i, entry in enumerate(entries):
-        wave = read_wav(config.corpus_dir / entry.path, expect_sample_rate=config.corpus.sample_rate)
+
+    def fill(out: np.ndarray, i: int) -> None:
+        wave = read_wav(config.corpus_dir / entries[i].path, expect_sample_rate=config.corpus.sample_rate)
         rng = _crop_rng(config, epoch, i) if split == "train" else None
         wave = unify_length(wave, config.train.target_duration_s, rng)
         for m, res in enumerate(config.resolutions):
-            stacks[i, m] = align_map(log_magnitude(stft(wave, res)), w, h)
-    # a float64 sum of float32 values is finite exactly when every value is
-    finite = np.isfinite(stacks.sum(axis=(1, 2, 3), dtype=np.float64))
-    if not finite.all():
-        bad = entries[int(np.argmin(finite))].utt_id
-        raise PipelineError(f"{split} utterance {bad!r} has non-finite features")
+            out[m] = align_map(log_magnitude(stft(wave, res)), w, h)
+        # a float64 sum of float32 values is finite exactly when every value is
+        if not np.isfinite(out.sum(dtype=np.float64)):
+            raise PipelineError(f"{split} utterance {entries[i].utt_id!r} has non-finite features")
+
+    rows = CacheRows((len(entries), len(config.resolutions), w, h), fill)
     ids = tuple(entry.utt_id for entry in entries)
     labels = np.array([int(entry.label) for entry in entries], dtype=np.uint8)
-    return FeatureCache(config.resolutions, stacks, ids, labels)
+    return FeatureCache(config.resolutions, rows, ids, labels)
 
 
 def run_extract(config: AppConfig, splits: tuple[str, ...] = SPLITS) -> dict[str, Path]:

@@ -57,6 +57,11 @@ class ResolutionSpec:
     def n_bins(self) -> int:
         return self.n_fft // 2 + 1
 
+    @property
+    def min_samples(self) -> int:
+        """Shortest signal `stft` takes: reflect padding by n_fft/2 needs one more sample."""
+        return self.n_fft // 2 + 1
+
     @classmethod
     def parse(cls, text: str) -> "ResolutionSpec":
         """Parse the ``window/hop`` notation, e.g. ``2048/64``."""
@@ -103,10 +108,10 @@ def stft(waveform: Waveform, resolution: ResolutionSpec) -> np.ndarray:
     x = waveform.samples
     n_fft = resolution.n_fft
     pad = n_fft // 2
-    if x.size < pad + 1:
+    if x.size < resolution.min_samples:
         raise ValueError(
             f"signal of {x.size} samples is too short for window {resolution.window_len} "
-            f"(reflect padding needs at least {pad + 1} samples)"
+            f"(reflect padding needs at least {resolution.min_samples} samples)"
         )
     padded = np.pad(x, pad, mode="reflect")
 

@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("peak_lr must be positive")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.target_duration_s <= 0:
             raise ValueError("target_duration_s must be positive")
         if self.dtype not in DTYPES:
@@ -174,12 +176,15 @@ def train(
 
     `reload_train(epoch)` may supply replacement train stacks (same utterance
     order) for epoch >= 2. The pipeline wires it up whenever some train WAV's
-    length differs from the target. Only WAVs longer than the target get a
-    new random crop; shorter ones are tiled the same way every epoch, so for
-    a corpus shorter than the target the reloaded stacks equal the cached ones.
+    length differs from the target, and returns the `CacheRows` of
+    `extract_split` for that epoch's crops. Only WAVs longer than the target
+    get a new random crop; shorter ones are tiled the same way every epoch,
+    so for a corpus shorter than the target the reloaded stacks equal the
+    cached ones.
 
     Each batch indexes the train stacks with its slice of the permutation,
-    so a cache opened by `read_cache` is read from disk one batch at a time.
+    so a cache opened by `read_cache` is read from disk, and recropped stacks
+    are extracted, one batch at a time.
 
     Emits one log line per epoch, `epoch<TAB>train_loss<TAB>dev_eer`, then
     `retained_epoch<TAB>k`.

@@ -191,8 +191,8 @@ def test_rows_read_bitwise_equal_to_stacks(tmp_path):
     rows = read_cache(path).stacks
     assert rows.shape == cache.stacks.shape
     perm = np.random.default_rng(1).permutation(7)
-    keys = [perm, perm[:3], np.array([6, 6, 0]), np.array([], dtype=np.int64), np.int64(4), 4, -1,
-            slice(None), slice(2, 5), slice(5, 5), slice(6, 99), slice(None, None, 3), slice(1, 2)]
+    keys = [perm, perm[:3], np.array([6, 6, 0]), np.array([], dtype=np.int64),
+            slice(None), slice(2, 5), slice(5, 5), slice(6, 99), slice(1, 2)]
     for key in keys:
         got = rows[key]
         want = cache.stacks[key]
@@ -200,7 +200,8 @@ def test_rows_read_bitwise_equal_to_stacks(tmp_path):
         assert got.tobytes() == want.tobytes(), key
         got[...] = 0  # a fresh array: the next read is unaffected
     assert rows[perm].tobytes() == cache.stacks[perm].tobytes()
-    for bad in (7, -8, np.array([0, 7]), np.array([0.5]), (0, 1)):
+    for bad in (7, -8, np.array([0, 7]), np.array([0.5]), (0, 1),
+                4, -1, np.int64(4), slice(None, None, 3)):
         with pytest.raises(IndexError):
             rows[bad]
 

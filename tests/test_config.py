@@ -101,6 +101,13 @@ def test_semantic_validation():
         ("train.dtype = float16", r"train\.dtype"),
         ("backend.se_reduction = 32", r"backend\.se_reduction"),
         ("tdcf.c1 = 0", r"tdcf\.c1"),
+        ("train.weight_decay = -0.5", r"train\.weight_decay must be >= 0"),
+        # 0.2 s at 8 kHz is 1600 samples; reflect padding for 4096/64 needs 2049
+        (
+            "features.resolutions = 128/32, 4096/64\ntrain.target_duration_s = 0.2",
+            r"features\.resolutions entry 4096/64 needs at least 2049 samples, "
+            r"but train\.target_duration_s = 0\.2 gives 1600 at 8000 Hz",
+        ),
     ]:
         with pytest.raises(ConfigError, match=match) as info:
             parse_config(line + "\n", source="run.cfg")

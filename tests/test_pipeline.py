@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,17 @@ from multires.stft import ResolutionSpec, log_magnitude, stft
 from multires.weighting import mean_weights_over_set
 
 from oracles import pool_2d_left_to_right
+
+
+def _traced_peak(run):
+    """Bytes allocated at the peak of `run()` above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = run()  # alive while the peak is read
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def _config(tmp_path, **overrides):
@@ -126,7 +138,7 @@ def test_eval_split_uses_leading_crop(run_dir):
     # irrelevant for non-train splits
     a = extract_split(config, "eval", epoch=0)
     b = extract_split(config, "eval", epoch=3)
-    np.testing.assert_array_equal(a.stacks, b.stacks)
+    np.testing.assert_array_equal(a.stacks[:], b.stacks[:])
 
 
 def test_train_crops_differ_by_epoch(run_dir):
@@ -134,15 +146,16 @@ def test_train_crops_differ_by_epoch(run_dir):
     a = extract_split(config, "train", epoch=0)
     b = extract_split(config, "train", epoch=1)
     assert a.stacks.shape == b.stacks.shape
-    assert not np.array_equal(a.stacks, b.stacks)
+    assert not np.array_equal(a.stacks[:], b.stacks[:])
 
 
 def _assert_channels(config, split, grid, epoch=0):
     # channel m of utterance i is resolution m's map, pooled onto the grid and cast to float32
     cache = extract_split(config, split, epoch=epoch)
+    stacks = cache.stacks[:]
     entries = read_protocol(config.corpus_dir / f"{split}_protocol.tsv")
-    assert cache.stacks.shape == (len(entries), len(config.resolutions)) + grid
-    assert cache.stacks.dtype == np.float32
+    assert stacks.shape == (len(entries), len(config.resolutions)) + grid
+    assert stacks.dtype == np.float32
     assert cache.ids == tuple(e.utt_id for e in entries)
     assert cache.labels.tolist() == [int(e.label) for e in entries]
     for i, entry in enumerate(entries):
@@ -150,7 +163,7 @@ def _assert_channels(config, split, grid, epoch=0):
         wave = unify_length(read_wav(config.corpus_dir / entry.path), config.train.target_duration_s, rng)
         for m, res in enumerate(config.resolutions):
             want = pool_2d_left_to_right(log_magnitude(stft(wave, res)), *grid)
-            assert cache.stacks[i, m].tobytes() == want.astype(np.float32).tobytes(), (i, m)
+            assert stacks[i, m].tobytes() == want.astype(np.float32).tobytes(), (i, m)
 
 
 def test_extract_split_explicit_target(run_dir):
@@ -182,9 +195,75 @@ def test_extract_split_rejects_non_finite_features(run_dir, monkeypatch):
         return out
 
     monkeypatch.setattr(pipeline, "log_magnitude", poisoned)
+    cache = extract_split(config, "dev")
     with pytest.raises(PipelineError, match=f"dev utterance '{entries[2].utt_id}' has non-finite"):
-        extract_split(config, "dev")
-    assert len(calls) == len(entries) * m
+        cache.stacks[:]
+    # the read stops at the first bad utterance, not after the whole split
+    assert len(calls) == 2 * m + 2 < len(entries) * m
+
+
+def test_failed_extract_leaves_no_cache_and_keeps_the_earlier_one(run_dir, tmp_path, monkeypatch):
+    # rows are extracted while write_cache streams them, so a bad utterance
+    # partway through the split aborts the atomic write
+    _, config = run_dir
+    config = dataclasses.replace(config, cache_dir=tmp_path)
+    m = len(config.resolutions)
+    calls = []
+
+    def poisoned(spectrum):
+        out = log_magnitude(spectrum)
+        if len(calls) == 2 * m:  # utterance 2, first resolution
+            out[:] = np.nan
+        calls.append(out.shape)
+        return out
+
+    def extract_poisoned():
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "log_magnitude", poisoned)
+            with pytest.raises(PipelineError, match="non-finite"):
+                run_extract(config, splits=("train",))
+        assert len(calls) == 3 * m  # utterances 0 and 1, then all of utterance 2's maps
+
+    extract_poisoned()
+    assert list(tmp_path.iterdir()) == []
+    path = run_extract(config, splits=("train",))["train"]
+    before = path.read_bytes()
+    extract_poisoned()
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+
+
+def test_extract_to_disk_peak_does_not_grow_with_utterances(tmp_path):
+    # each utterance is extracted and written before the next, so a split of
+    # 32 peaks no higher than a split of 4, far below 28 more rows
+    config = _config(tmp_path, **{"corpus.n_train": "32", "alignment.target": "128x129"})
+    run_gen_data(config)
+    row_bytes = 4 * len(config.resolutions) * 128 * 129
+    run_extract(config, splits=("dev",))  # fills one-time lazy state
+    peaks = {
+        split: _traced_peak(lambda: run_extract(config, splits=(split,)))
+        for split in ("dev", "train")
+    }
+    assert load_split_cache(config, "train").n_utterances == 32
+    assert load_split_cache(config, "dev").n_utterances == 4
+    assert peaks["train"] - peaks["dev"] < row_bytes, peaks
+
+
+def test_recropping_train_holds_batches_not_the_split(tmp_path):
+    # each epoch after the first recrops the train split; its rows are
+    # extracted a batch at a time, so training never holds the split
+    config = _config(
+        tmp_path,
+        **{"corpus.n_train": "512", "train.epochs": "2", "train.dtype": "float32"},
+    )
+    run_gen_data(config)
+    run_extract(config)
+    assert _needs_recrop(config)
+    run_train(config)  # fills one-time lazy state
+    payload = load_split_cache(config, "train").n_utterances * 4 * len(config.resolutions) * 16 * 17
+    peak = _traced_peak(lambda: run_train(config))
+    assert peak < payload, f"peak {peak} B for a {payload} B split"
 
 
 def test_needs_recrop_logic(run_dir, tmp_path):
