@@ -1,9 +1,10 @@
 """Reshape one resolution's log-STFT map onto the split's common grid.
 
 :func:`multires.pipeline.extract_split` writes ``align_map`` of every map
-straight into channel ``m`` of the split's ``(N, M, W, H)`` array.  The grid
-is ``alignment.target`` or, for ``max``, :func:`max_grid`: the largest frame
-and bin counts over the resolutions, known from the sample count alone.
+straight into channel ``m`` of the utterance's ``(M, W, H)`` row when that
+row is read.  The grid is ``alignment.target`` or, for ``max``,
+:func:`max_grid`: the largest frame and bin counts over the resolutions,
+known from the sample count alone.
 
 Alignment is adaptive average pooling: output bin ``i`` (of ``Out`` bins
 over ``In`` inputs) averages input indices

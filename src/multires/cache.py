@@ -44,6 +44,9 @@ VERSION = 2
 _PREFIX = struct.Struct("<4sHH")
 _DIMS = struct.Struct("<IIIQ")  # W, H, N, table_bytes
 _ROW_DTYPE = np.dtype("<f4")
+# Rows per read of a forward-only pass over a split (scoring, mean gate
+# weights): memory only, as neither result depends on it.
+SCORE_BATCH = 8
 
 
 class CacheFormatError(ValueError):
@@ -84,13 +87,13 @@ class CacheRows:
 class FeatureCache:
     """Aligned stacks for one split: stacks[n] is utterance n's (M, W, H) block.
 
-    `stacks` is an in-memory array, or the `CacheRows` of a split being
-    extracted or of a cache file opened by `read_cache`; all index the same
-    way for a slice or an index array.
+    `stacks` is the `CacheRows` of a split being extracted or of a cache
+    file opened by `read_cache`, so a reader indexes it with a slice or an
+    index array and gets just those rows.
     """
 
     resolutions: tuple[ResolutionSpec, ...]
-    stacks: np.ndarray | CacheRows
+    stacks: CacheRows
     ids: tuple[str, ...]
     labels: np.ndarray
 
@@ -98,7 +101,7 @@ class FeatureCache:
         self.resolutions = tuple(self.resolutions)
         self.ids = tuple(self.ids)
         if not isinstance(self.stacks, CacheRows):
-            self.stacks = np.asarray(self.stacks, dtype=np.float32)
+            raise TypeError(f"stacks must be CacheRows, not {type(self.stacks).__name__}")
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         if not self.resolutions:
             raise ValueError("cache needs at least one resolution")
@@ -142,7 +145,7 @@ def write_cache(cache: FeatureCache, path: str | Path) -> None:
         f.write(_DIMS.pack(w, h, n, len(table)))
         f.write(table)
         for i in range(n):
-            f.write(np.ascontiguousarray(cache.stacks[i : i + 1], dtype=_ROW_DTYPE))
+            f.write(cache.stacks[i : i + 1])
 
 
 def _pread_exact(fd: int, size: int, offset: int, what: str) -> bytes:

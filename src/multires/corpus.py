@@ -46,6 +46,12 @@ class CorpusSpec:
         for name in ("n_dev", "n_eval"):  # an EER needs both classes
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2 (a bona fide and a spoof utterance)")
+        n_samples = sample_count(self.duration_s, self.sample_rate)
+        if n_samples < 1:
+            raise ValueError(
+                f"duration_s = {self.duration_s!r} gives {n_samples} samples "
+                f"at {self.sample_rate} Hz; need at least 1"
+            )
 
     def split_size(self, split: str) -> int:
         return {"train": self.n_train, "dev": self.n_dev, "eval": self.n_eval}[split]

@@ -204,17 +204,17 @@ def evaluate_model(model: Model, cache: FeatureCache, tdcf: TdcfParams) -> EvalR
     )
 
 
-def _load_model(config: AppConfig, ckpt: str | Path) -> Model:
+def _model_and_split(config: AppConfig, ckpt: str | Path, split: str) -> tuple[Model, FeatureCache]:
+    """The checkpoint in `train.dtype`, and the split's cache for its resolutions."""
     ckpt = Path(ckpt)
     if not ckpt.is_file():
         raise PipelineError(f"missing checkpoint {ckpt}; run 'train' first")
-    return load_checkpoint(ckpt, config.train.np_dtype)
+    model = load_checkpoint(ckpt, config.train.np_dtype)
+    return model, load_split_cache(with_resolutions(config, model.resolutions), split)
 
 
 def run_eval(config: AppConfig, ckpt: str | Path, split: str = "eval") -> EvalReport:
-    model = _load_model(config, ckpt)
-    effective = with_resolutions(config, model.resolutions)
-    cache = load_split_cache(effective, split)
+    model, cache = _model_and_split(config, ckpt, split)
     report = evaluate_model(model, cache, config.tdcf)
     stem = Path(ckpt).stem
     config.checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -224,9 +224,7 @@ def run_eval(config: AppConfig, ckpt: str | Path, split: str = "eval") -> EvalRe
 
 
 def mean_weights(config: AppConfig, ckpt: str | Path) -> tuple[Model, np.ndarray]:
-    model = _load_model(config, ckpt)
-    effective = with_resolutions(config, model.resolutions)
-    cache = load_split_cache(effective, config.weights_split)
+    model, cache = _model_and_split(config, ckpt, config.weights_split)
     return model, mean_weights_over_set(cache, model.predictor)
 
 

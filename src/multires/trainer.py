@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import BackendConfig
-from .cache import FeatureCache
+from .cache import SCORE_BATCH, FeatureCache
 from .metrics import eer_from_scores
 from .model import (
     Model,
@@ -27,8 +27,6 @@ from .model import (
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
-# Utterances per scoring forward: memory only, as scores do not depend on it.
-SCORE_BATCH = 8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -94,21 +92,15 @@ def lr_at(step: int, peak_lr: float, warmup_steps: int) -> float:
 class OptimizerState:
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
-    peak_lr: float
-    warmup_steps: int
-    weight_decay: float
+    config: TrainConfig  # peak_lr, warmup_steps and weight_decay
     step: int = 0
 
 
-def init_optimizer(
-    params: list[np.ndarray], peak_lr: float, warmup_steps: int, weight_decay: float
-) -> OptimizerState:
+def init_optimizer(params: list[np.ndarray], config: TrainConfig) -> OptimizerState:
     return OptimizerState(
         first_moment=[np.zeros_like(p) for p in params],
         second_moment=[np.zeros_like(p) for p in params],
-        peak_lr=peak_lr,
-        warmup_steps=warmup_steps,
-        weight_decay=weight_decay,
+        config=config,
     )
 
 
@@ -122,14 +114,14 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: Optimize
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ValueError("params, grads, and optimizer state disagree on tensor count")
     state.step += 1
-    lr = lr_at(state.step, state.peak_lr, state.warmup_steps)
+    lr = lr_at(state.step, state.config.peak_lr, state.config.warmup_steps)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        g = g + state.weight_decay * p
+        g = g + state.config.weight_decay * p
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -137,20 +129,20 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: Optimize
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def score_cache(model: Model, cache: FeatureCache, batch_size: int = SCORE_BATCH) -> np.ndarray:
+def score_cache(model: Model, cache: FeatureCache) -> np.ndarray:
     """Detection scores logit(bonafide) - logit(spoof) for every utterance.
 
     Forward only: `model_forward` runs with ``keep_cache=False``, so a chunk
-    builds no backward cache and drops each activation once it is read. A
-    score does not depend on the chunk it is computed in (per-example conv
-    blocks, einsum gates and head), so `batch_size` sets memory, not output.
-    Each chunk is a slice of `cache.stacks`, so a cache opened by
-    `read_cache` is read from disk one chunk at a time.
+    builds no backward cache and drops each activation once it is read.
+    Each chunk is the next `SCORE_BATCH` rows of `cache.stacks`, read from
+    disk or extracted only then. A score does not depend on the chunk it is
+    computed in (per-example conv blocks, einsum gates and head), so
+    `SCORE_BATCH` sets memory, not output.
     """
     dtype = model.backend.fc_weight.dtype
     scores = np.empty(cache.n_utterances, dtype=np.float64)
-    for start in range(0, cache.n_utterances, batch_size):
-        chunk = cache.stacks[start : start + batch_size].astype(dtype, copy=False)
+    for start in range(0, cache.n_utterances, SCORE_BATCH):
+        chunk = cache.stacks[start : start + SCORE_BATCH].astype(dtype, copy=False)
         logits, _ = model_forward(chunk, model, keep_cache=False)
         scores[start : start + chunk.shape[0]] = (logits[:, 1] - logits[:, 0]).astype(np.float64)
     return scores
@@ -197,9 +189,7 @@ def train(
     model = init_model(
         train_cache.resolutions, backend_config, np.random.default_rng([config.seed, 0]), dtype
     )
-    state = init_optimizer(
-        model_params(model), config.peak_lr, config.warmup_steps, config.weight_decay
-    )
+    state = init_optimizer(model_params(model), config)
     labels = train_cache.labels.astype(np.int64)
     stacks = train_cache.stacks
     dev_labels = dev_cache.labels

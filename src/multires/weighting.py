@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cache import FeatureCache
+from .cache import SCORE_BATCH, FeatureCache
 from .excitation import ExcitationParams, bottleneck_weights
 
 
@@ -24,19 +24,19 @@ def hidden_width(n_resolutions: int) -> int:
     return max(2, n_resolutions // 2)
 
 
-def mean_weights_over_set(
-    cache: FeatureCache, params: ExcitationParams, batch_size: int = 64
-) -> np.ndarray:
+def mean_weights_over_set(cache: FeatureCache, params: ExcitationParams) -> np.ndarray:
     """Arithmetic mean of per-utterance predicted weights over a cached split.
 
     This is the per-resolution summary used for pruning and the
-    ``inspect-weights`` report.
+    ``inspect-weights`` report. The split is read `SCORE_BATCH` rows at a
+    time; each utterance's weights land in one (N, M) float64 array that is
+    summed once, so the mean does not depend on the read size.
     """
-    if cache.n_utterances == 0:
+    n = cache.n_utterances
+    if n == 0:
         raise ValueError("cannot average weights over an empty split")
-    total = np.zeros(params.n_channels, dtype=np.float64)
-    for start in range(0, cache.n_utterances, batch_size):
-        chunk = cache.stacks[start : start + batch_size]
-        _, scales, _ = bottleneck_weights(chunk, params)
-        total += scales.astype(np.float64).sum(axis=0)
-    return total / cache.n_utterances
+    weights = np.empty((n, params.n_channels), dtype=np.float64)
+    for start in range(0, n, SCORE_BATCH):
+        _, scales, _ = bottleneck_weights(cache.stacks[start : start + SCORE_BATCH], params)
+        weights[start : start + len(scales)] = scales
+    return weights.sum(axis=0) / n

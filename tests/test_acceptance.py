@@ -30,7 +30,7 @@ from multires.model import (
 from multires.pruning import prune
 from multires.signal_io import Waveform, read_wav, write_wav
 from multires.stft import ResolutionSpec, hann_window, stft
-from multires.trainer import adam_step, init_optimizer, lr_at
+from multires.trainer import TrainConfig, adam_step, init_optimizer, lr_at
 from multires.pipeline import cache_path
 
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     pool_1d,
     reflect_frames,
 )
+from rows import array_rows
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
@@ -178,7 +179,7 @@ def test_criterion_6_schedule_and_adam_trace():
     worst = 0.0
     for wd in (0.0, 0.01):
         p = [np.array([1.2])]
-        state = init_optimizer(p, peak_lr=0.1, warmup_steps=2, weight_decay=wd)
+        state = init_optimizer(p, TrainConfig(peak_lr=0.1, warmup_steps=2, weight_decay=wd))
         want = adam_trace(1.2, grads, 0.1, 2, weight_decay=wd)
         for g, expect in zip(grads, want):
             adam_step(p, [np.array([g])], state)
@@ -235,7 +236,7 @@ def test_criterion_9_format_round_trips(tmp_path):
     # feature cache: float32 payload byte-exact
     res = (ResolutionSpec(128, 32), ResolutionSpec(256, 64))
     stacks = rng.standard_normal((3, 2, 4, 5)).astype(np.float32)
-    cache = FeatureCache(res, stacks, ("u0", "u1", "u2"), np.array([0, 1, 0], dtype=np.uint8))
+    cache = FeatureCache(res, array_rows(stacks), ("u0", "u1", "u2"), np.array([0, 1, 0], dtype=np.uint8))
     write_cache(cache, tmp_path / "c.mrfe")
     cback = read_cache(tmp_path / "c.mrfe")
     ok &= cback.ids == cache.ids and bool(

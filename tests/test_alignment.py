@@ -119,7 +119,7 @@ def test_max_grid_matches_stft_map_shapes():
     assert max_grid(_parse(TOY), 8000) == (251, 257)
 
 
-def test_align_and_stack_max_rule():
+def test_max_grid_takes_each_axis_maximum():
     # each axis takes its own maximum: maps (21, 9) and (6, 17) give (21, 17),
     # and stacking the aligned maps keeps the resolutions' order
     r1, r2 = ResolutionSpec(16, 4), ResolutionSpec(32, 16)

@@ -9,6 +9,8 @@ import pytest
 from multires.cache import MAGIC, VERSION, CacheFormatError, FeatureCache, read_cache, write_cache
 from multires.stft import ResolutionSpec
 
+from rows import array_rows
+
 RES = (ResolutionSpec(128, 32), ResolutionSpec(256, 64))
 
 
@@ -28,7 +30,7 @@ def _cache(n=3, w=4, h=5, seed=0):
     stacks = rng.standard_normal((n, len(RES), w, h)).astype(np.float32)
     ids = tuple(f"train_b{i:04d}" for i in range(n))
     labels = (np.arange(n) % 2).astype(np.uint8)
-    return FeatureCache(RES, stacks, ids, labels)
+    return FeatureCache(RES, array_rows(stacks), ids, labels)
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -41,7 +43,7 @@ def test_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(back.labels, cache.labels)
     assert back.stacks.dtype == np.float32
     np.testing.assert_array_equal(
-        back.stacks[:].view(np.uint32), cache.stacks.view(np.uint32)
+        back.stacks[:].view(np.uint32), cache.stacks[:].view(np.uint32)
     )
 
 
@@ -62,7 +64,7 @@ def test_header_layout(tmp_path):
     assert table == b"".join(
         struct.pack("<H", 11) + uid.encode() + bytes([lab]) for uid, lab in zip(cache.ids, cache.labels)
     )
-    assert buf[44 + 2 * entry :] == cache.stacks.astype("<f4").tobytes()
+    assert buf[44 + 2 * entry :] == cache.stacks[:].astype("<f4").tobytes()
 
 
 def test_version_1_cache_names_version_and_extract(tmp_path):
@@ -74,7 +76,7 @@ def test_version_1_cache_names_version_and_extract(tmp_path):
 
 
 def test_empty_split_round_trips(tmp_path):
-    cache = FeatureCache(RES, np.zeros((0, 2, 4, 4), dtype=np.float32), (), np.zeros(0, dtype=np.uint8))
+    cache = FeatureCache(RES, array_rows(np.zeros((0, 2, 4, 4))), (), np.zeros(0, dtype=np.uint8))
     path = tmp_path / "empty.mrfe"
     write_cache(cache, path)
     back = read_cache(path)
@@ -137,17 +139,23 @@ def test_trailing_bytes_rejected(tmp_path):
 
 def test_validation_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
-        FeatureCache(RES, np.zeros((2, 2, 3, 3), dtype=np.float32), ("a", "a"), np.zeros(2, dtype=np.uint8))
+        FeatureCache(RES, array_rows(np.zeros((2, 2, 3, 3))), ("a", "a"), np.zeros(2, dtype=np.uint8))
 
 
 def test_validation_bad_label():
     with pytest.raises(ValueError, match="labels"):
-        FeatureCache(RES, np.zeros((1, 2, 3, 3), dtype=np.float32), ("a",), np.array([5], dtype=np.uint8))
+        FeatureCache(RES, array_rows(np.zeros((1, 2, 3, 3))), ("a",), np.array([5], dtype=np.uint8))
 
 
 def test_validation_channel_mismatch():
     with pytest.raises(ValueError, match="channels"):
-        FeatureCache(RES, np.zeros((1, 3, 3, 3), dtype=np.float32), ("a",), np.zeros(1, dtype=np.uint8))
+        FeatureCache(RES, array_rows(np.zeros((1, 3, 3, 3))), ("a",), np.zeros(1, dtype=np.uint8))
+
+
+def test_validation_bare_array_rejected():
+    # every split's rows are a CacheRows, read a slice or an index array at a time
+    with pytest.raises(TypeError, match="CacheRows"):
+        FeatureCache(RES, np.zeros((1, 2, 3, 3), dtype=np.float32), ("a",), np.zeros(1, dtype=np.uint8))
 
 
 def test_failed_write_leaves_no_file(tmp_path):
@@ -205,7 +213,7 @@ def test_rows_read_bitwise_equal_to_stacks(tmp_path):
         with pytest.raises(IndexError):
             rows[bad]
 
-    empty = FeatureCache(RES, np.zeros((0, 2, 3, 4), dtype=np.float32), (), np.zeros(0, dtype=np.uint8))
+    empty = FeatureCache(RES, array_rows(np.zeros((0, 2, 3, 4))), (), np.zeros(0, dtype=np.uint8))
     write_cache(empty, path)
     rows = read_cache(path).stacks
     assert rows[:].shape == rows[np.array([], dtype=np.int64)].shape == (0, 2, 3, 4)

@@ -102,6 +102,8 @@ def test_semantic_validation():
         ("backend.se_reduction = 32", r"backend\.se_reduction"),
         ("tdcf.c1 = 0", r"tdcf\.c1"),
         ("train.weight_decay = -0.5", r"train\.weight_decay must be >= 0"),
+        # 1e-05 s rounds to no sample at 8 kHz, which gen-data cannot synthesize
+        ("corpus.duration_s = 0.00001", r"corpus\.duration_s = 1e-05 gives 0 samples at 8000 Hz"),
         # 0.2 s at 8 kHz is 1600 samples; reflect padding for 4096/64 needs 2049
         (
             "features.resolutions = 128/32, 4096/64\ntrain.target_duration_s = 0.2",

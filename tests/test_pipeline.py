@@ -172,7 +172,7 @@ def test_extract_split_explicit_target(run_dir):
     _assert_channels(_config(tmp_path, **{"alignment.target": "8x8"}), "dev", (8, 8))
 
 
-def test_extract_split_nearest_max(run_dir):
+def test_extract_split_max_target(run_dir):
     tmp_path, _ = run_dir
     config = _config(tmp_path, **{"alignment.target": "max"})
     # 0.25 s at 2 kHz is 500 samples: 32/8 gives 63 frames, 64/16 gives 33 bins

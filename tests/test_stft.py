@@ -125,7 +125,7 @@ def test_stft_rejects_too_short_signal():
         stft(Waveform(np.zeros(100), 8000), ResolutionSpec(512, 128))
 
 
-def test_extract_all_shapes_and_order():
+def test_stft_map_shapes_for_toy_resolutions():
     # the toy resolutions, in config order, over 1.0 s at 8 kHz
     wave = Waveform(np.random.default_rng(2).standard_normal(8000), 8000)
     resolutions = [ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128)]

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from multires import trainer
 from multires.backend import BackendConfig
 from multires.cache import FeatureCache, read_cache, write_cache
 from multires.model import init_model, model_forward, model_params
@@ -19,6 +20,7 @@ from multires.trainer import (
 )
 
 from oracles import adam_trace, central_difference
+from rows import array_rows
 
 RES = (ResolutionSpec(64, 16), ResolutionSpec(128, 32))
 SLIM = BackendConfig(stem_channels=4, stages=1, blocks_per_stage=1, se_reduction=2)
@@ -33,7 +35,7 @@ def _caches(n_train=16, n_dev=8, w=6, h=5, seed=0):
         offset = np.where(labels == 1, 0.5, -0.5)[:, None, None, None]
         stacks = (offset + 0.1 * rng.standard_normal((n, 2, w, h))).astype(np.float32)
         ids = tuple(f"{prefix}{i:04d}" for i in range(n))
-        return FeatureCache(RES, stacks, ids, labels)
+        return FeatureCache(RES, array_rows(stacks), ids, labels)
 
     return build(n_train, "t"), build(n_dev, "d")
 
@@ -109,7 +111,7 @@ def test_lr_schedule_peaks_at_warmup():
 def test_adam_matches_scalar_oracle():
     for wd in (0.0, 0.01):
         p = [np.array([0.7])]
-        state = init_optimizer(p, peak_lr=0.1, warmup_steps=4, weight_decay=wd)
+        state = init_optimizer(p, TrainConfig(peak_lr=0.1, warmup_steps=4, weight_decay=wd))
         grads = [0.3, -0.2, 0.05, 0.4]
         want = adam_trace(0.7, grads, 0.1, 4, weight_decay=wd)
         for g, expect in zip(grads, want):
@@ -121,7 +123,7 @@ def test_adam_matches_scalar_oracle():
 def test_adam_updates_in_place_per_tensor():
     a, b = np.ones(3), np.full(2, 2.0)
     params = [a, b]
-    state = init_optimizer(params, peak_lr=0.1, warmup_steps=1, weight_decay=0.0)
+    state = init_optimizer(params, TrainConfig(peak_lr=0.1, warmup_steps=1, weight_decay=0.0))
     adam_step(params, [np.full(3, 0.5), np.zeros(2)], state)
     assert params[0] is a and params[1] is b
     assert (a != 1.0).all()
@@ -130,7 +132,7 @@ def test_adam_updates_in_place_per_tensor():
 
 def test_adam_shape_mismatch_rejected():
     p = [np.zeros(3)]
-    state = init_optimizer(p, peak_lr=1e-3, warmup_steps=1000, weight_decay=1e-9)
+    state = init_optimizer(p, TrainConfig())
     with pytest.raises(ValueError, match="shape"):
         adam_step(p, [np.zeros(4)], state)
 
@@ -198,7 +200,7 @@ def test_train_reload_shape_change_rejected():
     train_cache, dev_cache = _caches()
 
     def reload(epoch):
-        return train_cache.stacks[:, :, :3, :]
+        return array_rows(train_cache.stacks[:][:, :, :3, :])
 
     cfg = TrainConfig(epochs=2, batch_size=4, seed=0, warmup_steps=8)
     with pytest.raises(ValueError, match="shape"):
@@ -216,14 +218,15 @@ def test_train_aborts_on_divergence():
         train(train_cache, dev_cache, cfg, SLIM)
 
 
-def test_score_cache_convention_and_chunking():
+def test_score_cache_convention_and_chunking(monkeypatch):
     train_cache, _ = _caches(n_train=10)
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, warmup_steps=8)
     result = train(train_cache, _caches()[1], cfg, SLIM)
-    full = score_cache(result.model, train_cache, batch_size=64)
+    monkeypatch.setattr(trainer, "SCORE_BATCH", 64)
+    full = score_cache(result.model, train_cache)
     for batch_size in (3, 1):
-        chunked = score_cache(result.model, train_cache, batch_size=batch_size)
-        np.testing.assert_array_equal(full, chunked)
+        monkeypatch.setattr(trainer, "SCORE_BATCH", batch_size)
+        np.testing.assert_array_equal(full, score_cache(result.model, train_cache))
 
 
 def test_score_cache_keeps_no_backward_cache():
@@ -233,7 +236,7 @@ def test_score_cache_keeps_no_backward_cache():
     res = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
     model = init_model(res, BackendConfig(8, 3, 1, 4), np.random.default_rng(5))
     stacks = np.random.default_rng(6).standard_normal((8, 3, 64, 65)).astype(np.float32)
-    cache = FeatureCache(res, stacks, tuple(f"u{i}" for i in range(8)), np.arange(8) % 2)
+    cache = FeatureCache(res, array_rows(stacks), tuple(f"u{i}" for i in range(8)), np.arange(8) % 2)
 
     def peak(run):
         tracemalloc.start()
@@ -265,7 +268,8 @@ def test_train_on_disk_cache_holds_batches_not_the_split(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < train_mem.stacks.nbytes, f"peak {peak} B for a {train_mem.stacks.nbytes} B split"
+    split_bytes = 4 * np.prod(train_mem.stacks.shape)
+    assert peak < split_bytes, f"peak {peak} B for a {split_bytes} B split"
     assert from_disk.log_lines == in_memory.log_lines
     for a, b in zip(model_params(from_disk.model), model_params(in_memory.model)):
         assert a.tobytes() == b.tobytes()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from multires import weighting
 from multires.cache import FeatureCache
 from multires.excitation import bottleneck_weights, init_excitation
 from multires.model import fresh_weights
 from multires.stft import ResolutionSpec
 from multires.weighting import hidden_width, mean_weights_over_set
+
+from rows import array_rows
 
 RES3 = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
 
@@ -46,18 +49,20 @@ def test_bottleneck_weights_matches_per_utterance_predictions():
     assert all(a.dtype == np.float64 for a in bottleneck_weights(stacks32, p))
 
 
-def test_mean_weights_over_set_averages_and_chunks():
-    p = _predictor(8)
+def test_mean_weights_over_set_averages_and_chunks(monkeypatch):
     stacks = np.random.default_rng(9).standard_normal((7, 3, 4, 4)).astype(np.float32)
-    cache = FeatureCache(RES3, stacks, [f"u{i}" for i in range(7)], np.zeros(7, dtype=np.uint8))
-    want = bottleneck_weights(stacks, p)[1].astype(np.float64).mean(axis=0)
-    np.testing.assert_allclose(mean_weights_over_set(cache, p), want, atol=1e-12)
-    # chunked traversal must not change the answer
-    np.testing.assert_allclose(mean_weights_over_set(cache, p, batch_size=2), want, atol=1e-12)
+    cache = FeatureCache(RES3, array_rows(stacks), [f"u{i}" for i in range(7)], np.zeros(7, dtype=np.uint8))
+    for dtype in (np.float64, np.float32):
+        p = _predictor(8, dtype)
+        want = bottleneck_weights(stacks, p)[1].astype(np.float64).mean(axis=0)
+        # the read size must not change a bit of the answer
+        for read_size in (1, 3, 7, 64):
+            monkeypatch.setattr(weighting, "SCORE_BATCH", read_size)
+            np.testing.assert_array_equal(mean_weights_over_set(cache, p), want)
 
 
 def test_mean_weights_over_set_rejects_empty():
     p = _predictor(0)
-    cache = FeatureCache(RES3, np.zeros((0, 3, 2, 2), dtype=np.float32), [], np.zeros(0, dtype=np.uint8))
+    cache = FeatureCache(RES3, array_rows(np.zeros((0, 3, 2, 2))), [], np.zeros(0, dtype=np.uint8))
     with pytest.raises(ValueError, match="empty"):
         mean_weights_over_set(cache, p)
