@@ -46,6 +46,8 @@ class CorpusSpec:
         for name in ("n_dev", "n_eval"):  # an EER needs both classes
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2 (a bona fide and a spoof utterance)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         n_samples = sample_count(self.duration_s, self.sample_rate)
         if n_samples < 1:
             raise ValueError(

@@ -210,7 +210,16 @@ def _model_and_split(config: AppConfig, ckpt: str | Path, split: str) -> tuple[M
     if not ckpt.is_file():
         raise PipelineError(f"missing checkpoint {ckpt}; run 'train' first")
     model = load_checkpoint(ckpt, config.train.np_dtype)
-    return model, load_split_cache(with_resolutions(config, model.resolutions), split)
+    model_config = with_resolutions(config, model.resolutions)
+    path = cache_path(model_config, split)
+    if model.resolutions != config.resolutions and not path.is_file():
+        # 'extract' with the config as it is would build caches for other resolutions
+        retained = ", ".join(map(str, model.resolutions))
+        raise PipelineError(
+            f"missing feature cache {path} for the checkpoint's resolutions; run 'extract' "
+            f"with features.resolutions = {retained}, or 'prune', which builds these caches"
+        )
+    return model, load_split_cache(model_config, split)
 
 
 def run_eval(config: AppConfig, ckpt: str | Path, split: str = "eval") -> EvalReport:

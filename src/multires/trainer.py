@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.peak_lr <= 0:
             raise ValueError("peak_lr must be positive")
         if self.warmup_steps < 1:

@@ -1,9 +1,11 @@
-"""Shared fixtures: the pinned desk-scale experiment used by the acceptance tests.
+"""Shared fixture: the toy experiment that acceptance criteria 7 and 8 check.
 
-The toy pipeline (400/100/200 one-second utterances at 8 kHz, three
-resolutions, slim backend, 4 epochs) runs exactly twice per session: the
-first pass feeds the end-to-end quality checks, the second exists only to
-prove byte-level determinism against the first.
+The experiment is `configs/toy.cfg`, the file the README runs, with only its
+three `paths.*` directories moved under a temporary root (`helpers.toy_config`):
+400/100/200 one-second utterances at 8 kHz, three resolutions, a slim
+backend, 4 epochs. It runs exactly twice per session: the first pass feeds
+the end-to-end quality checks, the second exists only to prove byte-level
+determinism against the first. Other shared setups live in `helpers.py`.
 """
 
 from __future__ import annotations
@@ -14,38 +16,8 @@ from pathlib import Path
 import pytest
 
 from multires import pipeline
-from multires.config import parse_config
 
-TOY_SETTINGS = """
-corpus.n_train = 400
-corpus.n_dev = 100
-corpus.n_eval = 200
-corpus.duration_s = 1.0
-corpus.sample_rate = 8000
-corpus.spoof_synthesis = 256/64
-corpus.seed = 2
-features.resolutions = 128/32,256/64,512/128
-alignment.target = 128x129
-train.epochs = 4
-train.batch_size = 8
-train.seed = 2
-train.warmup_steps = 200
-train.target_duration_s = 1.0
-train.dtype = float32
-backend.stem_channels = 8
-backend.stages = 3
-backend.blocks_per_stage = 1
-backend.se_reduction = 4
-"""
-
-
-def toy_config(root: Path):
-    text = TOY_SETTINGS + (
-        f"paths.corpus_dir = {root / 'corpus'}\n"
-        f"paths.cache_dir = {root / 'cache'}\n"
-        f"paths.checkpoint_dir = {root / 'ckpt'}\n"
-    )
-    return parse_config(text, source="<toy>")
+from helpers import toy_config
 
 
 def run_toy_pipeline(root: Path) -> dict:

@@ -1,0 +1,84 @@
+"""Setups that several test modules share, each written once.
+
+`toy_config` is the shipped `configs/toy.cfg`, so the acceptance run checks
+the file users run. `MICRO` is a seconds-long pipeline config for the CLI
+and pipeline tests. `array_rows` wraps an array as `FeatureCache` rows, and
+`traced_peak` measures the memory one call allocates.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+from multires.cache import CacheRows
+from multires.config import AppConfig, parse_config
+
+TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
+
+MICRO = """
+corpus.n_train = 6
+corpus.n_dev = 4
+corpus.n_eval = 4
+corpus.duration_s = 0.3
+corpus.sample_rate = 2000
+corpus.spoof_synthesis = 64/16
+corpus.seed = 5
+features.resolutions = 32/8,64/16
+alignment.target = 16x17
+train.epochs = 2
+train.batch_size = 4
+train.seed = 5
+train.warmup_steps = 4
+train.target_duration_s = 0.25
+backend.stem_channels = 4
+backend.stages = 2
+backend.blocks_per_stage = 1
+backend.se_reduction = 2
+"""
+
+
+def with_paths(text: str, root: Path) -> str:
+    """`text` with the corpus, caches and checkpoints under `root`.
+
+    The path lines are appended, and a later line wins in `parse_config`.
+    """
+    return text + (
+        f"paths.corpus_dir = {root / 'corpus'}\n"
+        f"paths.cache_dir = {root / 'cache'}\n"
+        f"paths.checkpoint_dir = {root / 'ckpt'}\n"
+    )
+
+
+def toy_config(root: Path) -> AppConfig:
+    """`configs/toy.cfg`, with its artifacts under `root`."""
+    return parse_config(with_paths(TOY_CFG.read_text(encoding="utf-8"), root), source=str(TOY_CFG))
+
+
+def micro_config(root: Path, **overrides: str) -> AppConfig:
+    """`MICRO` under `root`; `overrides` maps config keys to values."""
+    extra = "".join(f"{key} = {value}\n" for key, value in overrides.items())
+    return parse_config(with_paths(MICRO, root) + extra)
+
+
+def array_rows(stacks) -> CacheRows:
+    """`CacheRows` that copy row n of a float32 copy of `stacks` when read."""
+    stacks = np.array(stacks, dtype=np.float32)
+
+    def fill(out: np.ndarray, n: int) -> None:
+        out[...] = stacks[n]
+
+    return CacheRows(stacks.shape, fill)
+
+
+def traced_peak(run) -> int:
+    """Bytes allocated at the peak of `run()` above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = run()  # alive while the peak is read
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

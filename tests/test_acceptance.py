@@ -2,7 +2,7 @@
 
 Criteria 1-6 and 9 verify the numerical kernels against independent
 brute-force oracles at fixed tolerances; criteria 7-8 exercise the pinned
-desk-scale experiment from conftest (run twice, second run only to prove
+experiment of `configs/toy.cfg` (run twice, second run only to prove
 byte-level determinism).
 """
 
@@ -43,7 +43,7 @@ from oracles import (
     pool_1d,
     reflect_frames,
 )
-from rows import array_rows
+from helpers import array_rows
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:

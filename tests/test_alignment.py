@@ -133,7 +133,7 @@ def test_max_grid_takes_each_axis_maximum():
     np.testing.assert_array_equal(stack[1], pool_2d_left_to_right(maps[1], 21, 17))
 
 
-def test_align_map_methods():
+def test_align_map_matches_left_to_right_pool():
     mat = np.random.default_rng(4).standard_normal((6, 17))
     for w_out, h_out in ((21, 17), (8, 8), (6, 17)):
         pooled = align_map(mat, w_out, h_out)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,7 @@ from multires.backend import (
 )
 from multires.model import fresh_weights
 
+from helpers import traced_peak
 from oracles import central_difference, naive_conv2d
 
 
@@ -146,16 +145,9 @@ def test_conv_memory_stays_near_input_size():
     x = rng.standard_normal((8, 8, 64, 65))
     p = _conv(8, 8, 3, seed=26)
     dy = rng.standard_normal(x.shape)
-    tracemalloc.start()
-    try:
-        for call, bound in ((lambda: conv2d_forward(x, p), 6), (lambda: conv2d_backward(x, p, dy), 8)):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            call()
-            peak = tracemalloc.get_traced_memory()[1] - base
-            assert peak <= bound * x.nbytes, f"peak {peak / x.nbytes:.1f}x input bytes"
-    finally:
-        tracemalloc.stop()
+    for call, bound in ((lambda: conv2d_forward(x, p), 6), (lambda: conv2d_backward(x, p, dy), 8)):
+        peak = traced_peak(call)
+        assert peak <= bound * x.nbytes, f"peak {peak / x.nbytes:.1f}x input bytes"
 
 
 def test_conv_rejects_even_kernel():
@@ -293,14 +285,14 @@ def test_backend_backward_finite_differences():
         out, _ = backend_forward(x, params)
         return float((out * d_logits).sum())
 
-    arrays = [x] + param_list_backend(params)
-    grad_arrays = [dx] + param_list_backend(grads)
+    arrays = [x] + backend_param_arrays(params)
+    grad_arrays = [dx] + backend_param_arrays(grads)
     num = central_difference(loss, arrays)
     for got, want in zip(grad_arrays, num):
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
 
-def param_list_backend(params):
+def backend_param_arrays(params):
     out = [params.stem.weight, params.stem.bias]
     for b in params.blocks:
         out += [b.conv1.weight, b.conv1.bias, b.conv2.weight, b.conv2.bias]

@@ -1,7 +1,6 @@
 import gc
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,20 +8,9 @@ import pytest
 from multires.cache import MAGIC, VERSION, CacheFormatError, FeatureCache, read_cache, write_cache
 from multires.stft import ResolutionSpec
 
-from rows import array_rows
+from helpers import array_rows, traced_peak
 
 RES = (ResolutionSpec(128, 32), ResolutionSpec(256, 64))
-
-
-def _traced_peak(run):
-    """Bytes allocated at the peak of `run()` above what was live before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        kept = run()  # alive while the peak is read
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def _cache(n=3, w=4, h=5, seed=0):
@@ -188,7 +176,7 @@ def test_utterance_count_beyond_file_size_rejected(tmp_path):
         except CacheFormatError as exc:
             errors.append(str(exc))
 
-    assert _traced_peak(open_corrupt) < 16 * 1024
+    assert traced_peak(open_corrupt) < 16 * 1024
     assert len(errors) == 1 and "cannot hold 4294967295 utterances" in errors[0]
 
 
@@ -226,7 +214,7 @@ def test_read_cache_peak_does_not_grow_with_utterances(tmp_path):
     for n in (4, 64):
         path = tmp_path / f"{n}.mrfe"
         write_cache(_cache(n=n, w=64, h=65), path)
-        peaks[n] = _traced_peak(lambda: read_cache(path))
+        peaks[n] = traced_peak(lambda: read_cache(path))
     assert peaks[64] < row_bytes, peaks
     # only the id table grows: a few hundred bytes per utterance at most
     assert peaks[64] - peaks[4] < 60 * 256, peaks

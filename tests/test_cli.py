@@ -9,6 +9,8 @@ import multires
 from multires.cli import main
 from multires.trainer import TrainingDivergedError
 
+from helpers import MICRO, with_paths
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # The launcher pip writes for a console-script entry point `name = module:attr`,
@@ -20,39 +22,13 @@ if __name__ == "__main__":
     sys.exit({attr}())
 """
 
-MICRO = """
-corpus.n_train = 6
-corpus.n_dev = 4
-corpus.n_eval = 4
-corpus.duration_s = 0.3
-corpus.sample_rate = 2000
-corpus.spoof_synthesis = 64/16
-corpus.seed = 5
-features.resolutions = 32/8,64/16
-alignment.target = 16x17
-train.epochs = 2
-train.batch_size = 4
-train.seed = 5
-train.warmup_steps = 4
-train.target_duration_s = 0.25
-backend.stem_channels = 4
-backend.stages = 2
-backend.blocks_per_stage = 1
-backend.se_reduction = 2
-"""
-
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Config file plus a corpus, caches, and a checkpoint built through main()."""
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "run.cfg"
-    cfg.write_text(
-        MICRO
-        + f"paths.corpus_dir = {root / 'corpus'}\n"
-        + f"paths.cache_dir = {root / 'cache'}\n"
-        + f"paths.checkpoint_dir = {root / 'ckpt'}\n"
-    )
+    cfg.write_text(with_paths(MICRO, root))
     for command in (["gen-data"], ["extract"], ["train"]):
         assert main(["--config", str(cfg)] + command) == 0
     return root, cfg
@@ -138,6 +114,14 @@ def test_seed_override_applies_to_both_streams(workspace, capsys):
     # restore the fixture corpus for any later test
     assert main(["--config", str(cfg), "gen-data"]) == 0
     capsys.readouterr()
+
+
+def test_negative_seed_override_fails_before_any_stage(workspace, capsys):
+    root, cfg = workspace
+    assert main(["--config", str(cfg), "--seed", "-1", "gen-data"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be >= 0\n"
 
 
 def test_env_var_supplies_config(workspace, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from multires.config import (
     with_seed,
 )
 from multires.stft import ResolutionSpec
+
+from helpers import TOY_CFG, toy_config
 
 
 def test_defaults():
@@ -102,6 +105,9 @@ def test_semantic_validation():
         ("backend.se_reduction = 32", r"backend\.se_reduction"),
         ("tdcf.c1 = 0", r"tdcf\.c1"),
         ("train.weight_decay = -0.5", r"train\.weight_decay must be >= 0"),
+        # a negative seed fails at load, not later inside numpy's generator
+        ("corpus.seed = -1", r"corpus\.seed must be >= 0"),
+        ("train.seed = -1", r"train\.seed must be >= 0"),
         # 1e-05 s rounds to no sample at 8 kHz, which gen-data cannot synthesize
         ("corpus.duration_s = 0.00001", r"corpus\.duration_s = 1e-05 gives 0 samples at 8000 Hz"),
         # 0.2 s at 8 kHz is 1600 samples; reflect padding for 4096/64 needs 2049
@@ -204,6 +210,17 @@ def test_save_and_load(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(serialize_config(cfg), encoding="utf-8")
     assert load_config(path) == cfg
+
+
+def test_toy_config_is_the_shipped_file(tmp_path):
+    # the acceptance toy run parses configs/toy.cfg and moves only its three directories
+    want = dataclasses.replace(
+        load_config(TOY_CFG),
+        corpus_dir=tmp_path / "corpus",
+        cache_dir=tmp_path / "cache",
+        checkpoint_dir=tmp_path / "ckpt",
+    )
+    assert toy_config(tmp_path) == want
 
 
 def test_load_missing_file_is_config_error(tmp_path):

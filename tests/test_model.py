@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from multires.model import (
 from multires.stft import ResolutionSpec
 from multires.weighting import hidden_width
 
+from helpers import traced_peak
 from oracles import central_difference
 
 RES = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
@@ -35,7 +35,7 @@ def test_init_model_channel_count_follows_resolutions():
     assert model.backend.stem.weight.shape[1] == 3
 
 
-def test_param_list_and_names_align():
+def test_model_params_and_named_params_align():
     model = init_model(RES, CFG, np.random.default_rng(0))
     params = model_params(model)
     names = [name for name, _ in named_params(model.predictor, model.backend)]
@@ -88,13 +88,7 @@ def test_forward_keeps_each_activation_once():
     # the cache holds each activation once, not a pre-ReLU copy beside it
     model = init_model(RES, BackendConfig(8, 3, 1, 4), np.random.default_rng(5))
     x = np.random.default_rng(6).standard_normal((4, 3, 64, 65))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _, cache = model_forward(x, model)  # kept alive while the peak is read
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: model_forward(x, model))
     assert peak <= 25 * x.nbytes, f"peak {peak / x.nbytes:.1f}x input bytes"
 
 
@@ -226,13 +220,12 @@ def test_load_allocates_no_more_than_the_file(tmp_path):
     buf = bytearray(path.read_bytes())
     struct.pack_into("<I", buf, 6, 64)  # stem_channels
     path.write_bytes(bytes(buf))
-    tracemalloc.start()
-    try:
+
+    def load():
         with pytest.raises(CheckpointFormatError, match="parameters"):
             load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(load)
     assert peak <= 4 * len(buf), f"peak {peak / len(buf):.1f}x file bytes"
 
 

@@ -5,7 +5,8 @@ and names a span ``<defining module>.<function>``. Its expected-layer lists
 (``child.py``), its span lookups (``layers.py``) and its argument probes
 (``tracer.py``) name such functions, so renaming one, or one of the
 arguments a probe reads, would otherwise show up only as a benchmark
-failure. The files are read with ``ast``, not imported.
+failure. ``workloads.py`` also keeps a copy of the toy settings, which must
+match ``configs/toy.cfg``. The files are read with ``ast``, not imported.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ import importlib
 import inspect
 import types
 from pathlib import Path
+
+from multires.config import load_config, parse_config, serialize_config
+
+from helpers import TOY_CFG
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # SpanTree methods of perfbench/layers.py that take a span name
@@ -146,3 +151,18 @@ def test_probed_functions_take_the_arguments_probes_read():
         module_name, _, function = name.partition(".")
         fn = getattr(importlib.import_module(f"multires.{module_name}"), function)
         assert arguments <= set(inspect.signature(fn).parameters), name
+
+
+def _settings(config) -> dict[str, str]:
+    """Config key -> its parsed value, written in `serialize_config`'s canonical form."""
+    return dict(line.split("=", 1) for line in serialize_config(config).splitlines())
+
+
+def test_toy_text_matches_the_shipped_toy_config():
+    # workloads.py keeps its own copy of the toy settings; each key it sets
+    # must parse to the value configs/toy.cfg gives it
+    text = ast.literal_eval(_assigned(_parse("workloads.py"), "TOY_TEXT"))
+    keys = [line.partition("=")[0].strip() for line in text.splitlines() if line.strip()]
+    bench, shipped = _settings(parse_config(text)), _settings(load_config(TOY_CFG))
+    assert keys
+    assert {key: bench[key] for key in keys} == {key: shipped[key] for key in keys}

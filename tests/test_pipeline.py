@@ -1,6 +1,5 @@
 import dataclasses
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,89 +28,51 @@ from multires.signal_io import read_protocol, read_scores, read_wav, unify_lengt
 from multires.stft import ResolutionSpec, log_magnitude, stft
 from multires.weighting import mean_weights_over_set
 
+from helpers import micro_config, traced_peak
 from oracles import pool_2d_left_to_right
-
-
-def _traced_peak(run):
-    """Bytes allocated at the peak of `run()` above what was live before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        kept = run()  # alive while the peak is read
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def _config(tmp_path, **overrides):
-    lines = {
-        "corpus.n_train": "6",
-        "corpus.n_dev": "4",
-        "corpus.n_eval": "4",
-        "corpus.duration_s": "0.3",
-        "corpus.sample_rate": "2000",
-        "corpus.spoof_synthesis": "64/16",
-        "corpus.seed": "5",
-        "features.resolutions": "32/8,64/16",
-        "alignment.target": "16x17",
-        "train.epochs": "2",
-        "train.batch_size": "4",
-        "train.seed": "5",
-        "train.warmup_steps": "4",
-        "train.target_duration_s": "0.25",
-        "backend.stem_channels": "4",
-        "backend.stages": "2",
-        "backend.blocks_per_stage": "1",
-        "backend.se_reduction": "2",
-        "paths.corpus_dir": str(tmp_path / "corpus"),
-        "paths.cache_dir": str(tmp_path / "cache"),
-        "paths.checkpoint_dir": str(tmp_path / "ckpt"),
-    }
-    lines.update(overrides)
-    return parse_config("".join(f"{k}={v}\n" for k, v in lines.items()))
 
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     """One generated corpus + extracted caches shared by the read-only tests."""
     tmp_path = tmp_path_factory.mktemp("pipeline")
-    config = _config(tmp_path)
+    config = micro_config(tmp_path)
     run_gen_data(config)
     run_extract(config)
     return tmp_path, config
 
 
 def test_fingerprint_sensitivity(tmp_path):
-    base = _config(tmp_path)
+    base = micro_config(tmp_path)
     assert len(config_fingerprint(base)) == 8
-    assert config_fingerprint(base) == config_fingerprint(_config(tmp_path))
+    assert config_fingerprint(base) == config_fingerprint(micro_config(tmp_path))
     changed = [
-        _config(tmp_path, **{"corpus.seed": "6"}),
-        _config(tmp_path, **{"features.resolutions": "32/8"}),
-        _config(tmp_path, **{"alignment.target": "max"}),
-        _config(tmp_path, **{"train.target_duration_s": "0.3"}),
-        _config(tmp_path, **{"train.seed": "6"}),
+        micro_config(tmp_path, **{"corpus.seed": "6"}),
+        micro_config(tmp_path, **{"features.resolutions": "32/8"}),
+        micro_config(tmp_path, **{"alignment.target": "max"}),
+        micro_config(tmp_path, **{"train.target_duration_s": "0.3"}),
+        micro_config(tmp_path, **{"train.seed": "6"}),
     ]
     fingerprints = {config_fingerprint(c) for c in changed}
     assert config_fingerprint(base) not in fingerprints
     assert len(fingerprints) == len(changed)
     # keys that do not affect cache bytes leave the fingerprint alone
-    assert config_fingerprint(_config(tmp_path, **{"train.epochs": "9"})) == config_fingerprint(base)
-    assert config_fingerprint(_config(tmp_path, **{"backend.stages": "3"})) == config_fingerprint(base)
+    assert config_fingerprint(micro_config(tmp_path, **{"train.epochs": "9"})) == config_fingerprint(base)
+    assert config_fingerprint(micro_config(tmp_path, **{"backend.stages": "3"})) == config_fingerprint(base)
     # pinned, so existing cache file names stay valid
     assert config_fingerprint(parse_config("")) == "5d389358"
     assert config_fingerprint(parse_config("alignment.target = 128x129")) == "7b1659b4"
 
 
 def test_artifact_paths(tmp_path):
-    config = _config(tmp_path)
+    config = micro_config(tmp_path)
     fp = config_fingerprint(config)
     assert cache_path(config, "dev").name == f"dev.{fp}.mrfe"
     assert checkpoint_path(config, "full").name == "full.mrck"
 
 
 def test_extract_requires_corpus(tmp_path):
-    config = _config(tmp_path)
+    config = micro_config(tmp_path)
     with pytest.raises(PipelineError, match="gen-data"):
         extract_split(config, "train")
 
@@ -169,12 +130,12 @@ def _assert_channels(config, split, grid, epoch=0):
 def test_extract_split_explicit_target(run_dir):
     tmp_path, config = run_dir
     _assert_channels(config, "train", (16, 17), epoch=1)
-    _assert_channels(_config(tmp_path, **{"alignment.target": "8x8"}), "dev", (8, 8))
+    _assert_channels(micro_config(tmp_path, **{"alignment.target": "8x8"}), "dev", (8, 8))
 
 
 def test_extract_split_max_target(run_dir):
     tmp_path, _ = run_dir
-    config = _config(tmp_path, **{"alignment.target": "max"})
+    config = micro_config(tmp_path, **{"alignment.target": "max"})
     # 0.25 s at 2 kHz is 500 samples: 32/8 gives 63 frames, 64/16 gives 33 bins
     _assert_channels(config, "dev", (63, 33))
 
@@ -237,12 +198,12 @@ def test_failed_extract_leaves_no_cache_and_keeps_the_earlier_one(run_dir, tmp_p
 def test_extract_to_disk_peak_does_not_grow_with_utterances(tmp_path):
     # each utterance is extracted and written before the next, so a split of
     # 32 peaks no higher than a split of 4, far below 28 more rows
-    config = _config(tmp_path, **{"corpus.n_train": "32", "alignment.target": "128x129"})
+    config = micro_config(tmp_path, **{"corpus.n_train": "32", "alignment.target": "128x129"})
     run_gen_data(config)
     row_bytes = 4 * len(config.resolutions) * 128 * 129
     run_extract(config, splits=("dev",))  # fills one-time lazy state
     peaks = {
-        split: _traced_peak(lambda: run_extract(config, splits=(split,)))
+        split: traced_peak(lambda: run_extract(config, splits=(split,)))
         for split in ("dev", "train")
     }
     assert load_split_cache(config, "train").n_utterances == 32
@@ -253,7 +214,7 @@ def test_extract_to_disk_peak_does_not_grow_with_utterances(tmp_path):
 def test_recropping_train_holds_batches_not_the_split(tmp_path):
     # each epoch after the first recrops the train split; its rows are
     # extracted a batch at a time, so training never holds the split
-    config = _config(
+    config = micro_config(
         tmp_path,
         **{"corpus.n_train": "512", "train.epochs": "2", "train.dtype": "float32"},
     )
@@ -262,26 +223,26 @@ def test_recropping_train_holds_batches_not_the_split(tmp_path):
     assert _needs_recrop(config)
     run_train(config)  # fills one-time lazy state
     payload = load_split_cache(config, "train").n_utterances * 4 * len(config.resolutions) * 16 * 17
-    peak = _traced_peak(lambda: run_train(config))
+    peak = traced_peak(lambda: run_train(config))
     assert peak < payload, f"peak {peak} B for a {payload} B split"
 
 
 def test_needs_recrop_logic(run_dir, tmp_path):
     _, config = run_dir
     assert _needs_recrop(config)  # 0.3 s corpus vs 0.25 s target
-    matched = _config(config.corpus_dir.parent, **{"train.target_duration_s": "0.3"})
+    matched = micro_config(config.corpus_dir.parent, **{"train.target_duration_s": "0.3"})
     assert not _needs_recrop(matched)
 
 
 def test_load_missing_cache_names_extract(tmp_path):
-    config = _config(tmp_path)
+    config = micro_config(tmp_path)
     with pytest.raises(PipelineError, match="extract"):
         load_split_cache(config, "train")
 
 
 def test_cache_resolution_guard(run_dir):
     tmp_path, config = run_dir
-    other = _config(tmp_path, **{"features.resolutions": "32/8"})
+    other = micro_config(tmp_path, **{"features.resolutions": "32/8"})
     # force the other config to look for its own fingerprint: copy bytes over
     other.cache_dir.mkdir(parents=True, exist_ok=True)
     cache_path(other, "train").write_bytes(cache_path(config, "train").read_bytes())
@@ -361,8 +322,22 @@ def test_evaluate_model_resolution_guard(run_dir):
         evaluate_model(model, cache, config.tdcf)
 
 
+def test_pruned_checkpoint_without_caches_names_how_to_build_them(run_dir, tmp_path):
+    # 'extract' with the config's 32/8,64/16 builds no cache for a checkpoint
+    # that kept only 64/16, so the message names what does
+    _, config = run_dir
+    from multires.model import init_model, save_checkpoint
+
+    config = dataclasses.replace(config, cache_dir=tmp_path / "cache")
+    ckpt = tmp_path / "refined.mrck"
+    save_checkpoint(init_model((ResolutionSpec(64, 16),), config.backend, np.random.default_rng(0)), ckpt)
+    for step in (lambda: run_eval(config, ckpt), lambda: weight_report(config, ckpt)):
+        with pytest.raises(PipelineError, match=r"run 'extract' with features\.resolutions = 64/16, or 'prune'"):
+            step()
+
+
 def test_eval_missing_checkpoint(tmp_path):
-    config = _config(tmp_path)
+    config = micro_config(tmp_path)
     with pytest.raises(PipelineError, match="train"):
         run_eval(config, tmp_path / "none.mrck")
 

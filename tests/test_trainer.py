@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from multires.trainer import (
 )
 
 from oracles import adam_trace, central_difference
-from rows import array_rows
+from helpers import array_rows, traced_peak
 
 RES = (ResolutionSpec(64, 16), ResolutionSpec(128, 32))
 SLIM = BackendConfig(stem_channels=4, stages=1, blocks_per_stage=1, se_reduction=2)
@@ -237,18 +236,8 @@ def test_score_cache_keeps_no_backward_cache():
     model = init_model(res, BackendConfig(8, 3, 1, 4), np.random.default_rng(5))
     stacks = np.random.default_rng(6).standard_normal((8, 3, 64, 65)).astype(np.float32)
     cache = FeatureCache(res, array_rows(stacks), tuple(f"u{i}" for i in range(8)), np.arange(8) % 2)
-
-    def peak(run):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            kept = run()  # alive while the peak is read
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    cached = peak(lambda: model_forward(stacks.astype(np.float64), model))
-    scoring = peak(lambda: score_cache(model, cache))
+    cached = traced_peak(lambda: model_forward(stacks.astype(np.float64), model))
+    scoring = traced_peak(lambda: score_cache(model, cache))
     assert scoring <= 0.75 * cached, f"scoring peak {scoring / cached:.2f}x the cached forward's"
 
 
@@ -262,12 +251,10 @@ def test_train_on_disk_cache_holds_batches_not_the_split(tmp_path):
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, warmup_steps=8, dtype="float32")
     in_memory = train(train_mem, dev_mem, cfg, SLIM)  # also fills one-time lazy state
 
-    tracemalloc.start()
-    try:
-        from_disk = train(read_cache(tmp_path / "train.mrfe"), read_cache(tmp_path / "dev.mrfe"), cfg, SLIM)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    paths = [tmp_path / f"{name}.mrfe" for name in ("train", "dev")]
+    trained = []  # the model trained from disk, kept for the checks below
+    peak = traced_peak(lambda: trained.append(train(*map(read_cache, paths), cfg, SLIM)))
+    from_disk = trained[0]
     split_bytes = 4 * np.prod(train_mem.stacks.shape)
     assert peak < split_bytes, f"peak {peak} B for a {split_bytes} B split"
     assert from_disk.log_lines == in_memory.log_lines

@@ -8,7 +8,7 @@ from multires.model import fresh_weights
 from multires.stft import ResolutionSpec
 from multires.weighting import hidden_width, mean_weights_over_set
 
-from rows import array_rows
+from helpers import array_rows
 
 RES3 = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
 
