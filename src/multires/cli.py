@@ -15,6 +15,7 @@ from .config import ENV_CONFIG_VAR, AppConfig, ConfigError, default_config, load
 from .corpus import SPLITS
 from .pipeline import (
     PipelineError,
+    prune_report_path,
     run_eval,
     run_extract,
     run_gen_data,
@@ -89,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
             result, retrain, refined = run_prune(config, args.checkpoint, progress=_echo)
             retained = ", ".join(str(r) for r in result.retained)
             _echo(f"retained resolutions: {retained}")
-            _echo(f"wrote {config.checkpoint_dir / 'prune_report.txt'}")
+            _echo(f"wrote {prune_report_path(config)}")
             _echo(f"wrote {refined}")
         elif args.command == "inspect-weights":
             sys.stdout.write(weight_report(config, args.checkpoint))

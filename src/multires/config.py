@@ -15,12 +15,13 @@ original config (round-trip stability is part of the contract).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, get_type_hints
 
 from .backend import BackendConfig
-from .corpus import SPLITS, CorpusSpec
+from .corpus import CorpusSpec
 from .metrics import TdcfParams
 from .signal_io import sample_count
 from .stft import ResolutionSpec
@@ -48,7 +49,6 @@ class AppConfig:
     train: TrainConfig
     backend: BackendConfig
     tdcf: TdcfParams
-    weights_split: str
     corpus_dir: Path
     cache_dir: Path
     checkpoint_dir: Path
@@ -58,8 +58,6 @@ class AppConfig:
             raise ConfigError("features.resolutions must be non-empty")
         if len(set(self.resolutions)) != len(self.resolutions):
             raise ConfigError("features.resolutions contains duplicate window/hop pairs")
-        if self.weights_split not in SPLITS:
-            raise ConfigError(f"weights.split must be one of {SPLITS}")
         if self.align_target is not None and min(self.align_target) < 1:
             raise ConfigError("alignment.target dims must be >= 1")
         n_samples = sample_count(self.train.target_duration_s, self.corpus.sample_rate)
@@ -95,10 +93,16 @@ class _Key(NamedTuple):
     format: Callable[[Any], str]
 
 
+def _parse_finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 # Section field parsers, by the type of the field's default.
 _PARSERS: dict[type, Callable[[str], Any]] = {
     int: int,
-    float: float,
+    float: _parse_finite,
     str: str,
     ResolutionSpec: ResolutionSpec.parse,
 }
@@ -117,7 +121,6 @@ _TOP_LEVEL: dict[str, tuple[str, str, Callable[[str], Any], Callable[[Any], str]
         _parse_target,
         lambda t: "max" if t is None else f"{t[0]}x{t[1]}",
     ),
-    "weights_split": ("weights.split", "dev", str, str),
     "corpus_dir": ("paths.corpus_dir", "data/corpus", Path, str),
     "cache_dir": ("paths.cache_dir", "data/cache", Path, str),
     "checkpoint_dir": ("paths.checkpoint_dir", "data/checkpoints", Path, str),

@@ -95,15 +95,14 @@ def resynthesize(source: Waveform, resolution: ResolutionSpec) -> Waveform:
     padded = np.zeros((n_frames - 1) * hop + win)
     padded[:n] = x
     w = hann_window(win)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop] * w
+    rebuilt = np.fft.irfft(np.abs(np.fft.rfft(frames, axis=-1)), n=win, axis=-1) * w
+    # np.add.at over frame-major indices sums each sample's frames in frame order
+    index = (np.arange(n_frames)[:, None] * hop + np.arange(win)).ravel()
     out = np.zeros_like(padded)
     norm = np.zeros_like(padded)
-    for f in range(n_frames):
-        start = f * hop
-        frame = padded[start : start + win] * w
-        magnitude = np.abs(np.fft.rfft(frame))
-        rebuilt = np.fft.irfft(magnitude, n=win)
-        out[start : start + win] += rebuilt * w
-        norm[start : start + win] += w * w
+    np.add.at(out, index, rebuilt.ravel())
+    np.add.at(norm, index, np.tile(w * w, n_frames))
     out /= np.maximum(norm, 1e-8)
     out = out[:n]
     src_rms = np.sqrt(np.mean(x**2))
@@ -129,7 +128,6 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict[str, Path]:
     """
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
     n_samples = sample_count(spec.duration_s, spec.sample_rate)
     protocols: dict[str, Path] = {}
     for split_index, split in enumerate(SPLITS):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_io import atomic_write, format_score
+from .signal_io import format_score, write_text
 
 __all__ = [
     "TdcfParams",
@@ -92,11 +92,8 @@ def write_det_csv(points: np.ndarray, path: str | Path) -> None:
     def fmt(x: float) -> str:
         return format_score(x) if np.isfinite(x) else str(x)  # sentinel rows print inf/-inf
 
-    lines = ["threshold,p_miss,p_fa"]
-    for threshold, p_miss, p_fa in points.tolist():
-        lines.append(f"{fmt(threshold)},{fmt(p_miss)},{fmt(p_fa)}")
-    with atomic_write(path) as f:
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+    lines = ["threshold,p_miss,p_fa"] + [",".join(map(fmt, row)) for row in points.tolist()]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def summary_line(eer_value: float, tdcf_value: float) -> str:

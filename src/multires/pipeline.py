@@ -35,16 +35,16 @@ from .metrics import (
     write_det_csv,
 )
 from .model import Model, load_checkpoint, save_checkpoint
-from .pruning import PruneResult, format_report, prune
+from .pruning import PruneResult, format_report, prune, rank_weights
 from .signal_io import (
     Label,
     ScoreRecord,
-    atomic_write,
     read_protocol,
     read_wav,
     sample_count,
     unify_length,
     write_scores,
+    write_text,
 )
 from .stft import log_magnitude, stft
 from .trainer import TrainResult, score_cache, train
@@ -126,7 +126,6 @@ def extract_split(config: AppConfig, split: str, epoch: int = 0) -> FeatureCache
 
 
 def run_extract(config: AppConfig, splits: tuple[str, ...] = SPLITS) -> dict[str, Path]:
-    config.cache_dir.mkdir(parents=True, exist_ok=True)
     out: dict[str, Path] = {}
     for split in splits:
         path = cache_path(config, split)
@@ -164,13 +163,11 @@ def run_train(config: AppConfig, name: str = "full", progress=None) -> tuple[Tra
     if _needs_recrop(config):
         reload_train = lambda epoch: extract_split(config, "train", epoch=epoch).stacks
     result = train(train_cache, dev_cache, config.train, config.backend, reload_train, progress)
-    config.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     ckpt = checkpoint_path(config, name)
     save_checkpoint(result.model, ckpt)
     suffix = "" if name == "full" else f".{name}"
-    log_path = config.checkpoint_dir / f"train_log{suffix}.txt"
-    with atomic_write(log_path) as f:
-        f.write("".join(line + "\n" for line in result.log_lines).encode("utf-8"))
+    log_text = "".join(line + "\n" for line in result.log_lines)
+    write_text(config.checkpoint_dir / f"train_log{suffix}.txt", log_text)
     return result, ckpt
 
 
@@ -226,26 +223,25 @@ def run_eval(config: AppConfig, ckpt: str | Path, split: str = "eval") -> EvalRe
     model, cache = _model_and_split(config, ckpt, split)
     report = evaluate_model(model, cache, config.tdcf)
     stem = Path(ckpt).stem
-    config.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     write_scores(report.records, config.checkpoint_dir / f"{stem}.{split}_scores.tsv")
     write_det_csv(report.det, config.checkpoint_dir / f"{stem}.{split}_det.csv")
     return report
 
 
 def mean_weights(config: AppConfig, ckpt: str | Path) -> tuple[Model, np.ndarray]:
-    model, cache = _model_and_split(config, ckpt, config.weights_split)
+    """The checkpoint and its mean gate weight per resolution on dev, where `train` picks its epoch."""
+    model, cache = _model_and_split(config, ckpt, "dev")
     return model, mean_weights_over_set(cache, model.predictor)
 
 
 def weight_report(config: AppConfig, ckpt: str | Path) -> str:
-    """`window<TAB>hop<TAB>mean_weight` lines, heaviest resolution first."""
+    """`rank_weights` lines of the dev mean weights: `prune_report.txt`'s lines without the verdict."""
     model, weights = mean_weights(config, ckpt)
-    order = np.argsort(-weights, kind="stable")
-    lines = [
-        f"{model.resolutions[i].window_len}\t{model.resolutions[i].hop_len}\t{weights[i]:.6f}"
-        for i in order
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for _, line in rank_weights(model.resolutions, weights))
+
+
+def prune_report_path(config: AppConfig) -> Path:
+    return config.checkpoint_dir / "prune_report.txt"
 
 
 def run_prune(
@@ -254,9 +250,7 @@ def run_prune(
     """Full -> refined workflow: gap-prune on mean weights, re-extract, retrain."""
     model, weights = mean_weights(config, ckpt)
     result = prune(weights, model.resolutions)
-    config.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_write(config.checkpoint_dir / "prune_report.txt") as f:
-        f.write(format_report(result).encode("utf-8"))
+    write_text(prune_report_path(config), format_report(result))
     refined_config = with_resolutions(config, result.retained)
     run_extract(refined_config)
     train_result, refined_ckpt = run_train(refined_config, name="refined", progress=progress)

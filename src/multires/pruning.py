@@ -53,21 +53,21 @@ def prune(weights: np.ndarray, resolutions: tuple[ResolutionSpec, ...]) -> Prune
     return PruneResult(resolutions, weights, cut, retained, discarded)
 
 
+def rank_weights(resolutions: tuple[ResolutionSpec, ...], weights: np.ndarray) -> list[tuple[ResolutionSpec, str]]:
+    """(resolution, `window<TAB>hop<TAB>weight` line) pairs, heaviest first; ties keep input order."""
+    ranked = [(resolutions[i], weights[i]) for i in np.argsort(-np.asarray(weights), kind="stable")]
+    return [(res, f"{res.window_len}\t{res.hop_len}\t{w:.6f}") for res, w in ranked]
+
+
 def format_report(result: PruneResult) -> str:
-    """Per-resolution lines sorted by weight descending, then summary comments."""
-    retained = set(map(str, result.retained))
-    order = np.argsort(-result.weights, kind="stable")
-    lines = []
-    for i in order:
-        res = result.resolutions[i]
-        verdict = "retained" if str(res) in retained else "discarded"
-        lines.append(f"{res.window_len}\t{res.hop_len}\t{result.weights[i]:.6f}\t{verdict}")
+    """`rank_weights` lines with a retained/discarded column, then summary comments."""
+    ranked = rank_weights(result.resolutions, result.weights)
+    lines = [f"{line}\t{'retained' if res in result.retained else 'discarded'}" for res, line in ranked]
     m = len(result.resolutions)
     lines.append(f"# largest gap after sorted position {result.cut_index} (ascending, 1-based)")
     lines.append(
         f"# retained above the gap: {m - result.cut_index} of {m};"
         f" a literal 'last m*' reading would keep {result.cut_index}"
     )
-    top = result.resolutions[order[0]]
-    lines.append(f"# top mean weight: {top} ({result.weights[order[0]]:.6f})")
+    lines.append(f"# top mean weight: {ranked[0][0]} ({result.weights.max():.6f})")
     return "\n".join(lines) + "\n"

@@ -13,8 +13,8 @@ Text formats (UTF-8, tab-separated, one record per line):
 
 Every artifact the pipeline writes (WAVs, protocol files, feature caches,
 checkpoints, train logs, prune reports, score files and DET files) goes
-through :func:`atomic_write`, so a crash mid-write never leaves a
-half-written artifact at its final path.
+through :func:`atomic_write`, which creates its directory, text as UTF-8 via
+:func:`write_text`; a crash mid-write never leaves a half-written artifact.
 """
 
 from __future__ import annotations
@@ -106,10 +106,11 @@ class ScoreRecord:
 def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
     """Write `<path>.tmp` in binary mode, then move it onto `path` with os.replace.
 
-    If the body raises, the temp file is removed and any earlier file at
-    `path` is left as it was.
+    Missing parent directories are created. If the body raises, the temp
+    file is removed and any earlier file at `path` is left as it was.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
@@ -118,6 +119,12 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 through :func:`atomic_write`."""
+    with atomic_write(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +282,7 @@ def write_protocol(entries: list[ProtocolEntry], path: str | Path) -> None:
             raise ProtocolError(f"duplicate utt_id {e.utt_id!r}")
         seen.add(e.utt_id)
         lines.append(f"{e.utt_id}\t{e.label.token}\t{e.path}")
-    with atomic_write(path) as f:
-        f.write("".join(line + "\n" for line in lines).encode("utf-8"))
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +298,7 @@ def format_score(value: float) -> str:
 
 def write_scores(records: list[ScoreRecord], path: str | Path) -> None:
     lines = [f"{r.utt_id}\t{r.label.token}\t{format_score(r.score)}" for r in records]
-    with atomic_write(path) as f:
-        f.write("".join(line + "\n" for line in lines).encode("utf-8"))
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 def read_scores(path: str | Path) -> list[ScoreRecord]:

@@ -102,6 +102,7 @@ def test_prune_reports_retained_set(workspace, capsys):
     assert main(["--config", str(cfg), "prune", str(root / "ckpt/full.mrck")]) == 0
     out = capsys.readouterr().out
     assert "retained resolutions: " in out
+    assert f"wrote {root / 'ckpt/prune_report.txt'}\n" in out
     assert (root / "ckpt/prune_report.txt").is_file()
     assert (root / "ckpt/refined.mrck").is_file()
 
@@ -143,6 +144,17 @@ def test_missing_config_file_fails_cleanly(capsys, tmp_path):
     assert main(["--config", str(tmp_path / "no.cfg"), "gen-data"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config file not found")
+
+
+def test_non_finite_config_value_fails_cleanly(capsys, tmp_path):
+    # `inf` used to reach gen-data and end in an OverflowError traceback
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(with_paths(MICRO + "corpus.duration_s = inf\n", tmp_path))
+    assert main(["--config", str(cfg), "gen-data"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {cfg}: bad value for corpus.duration_s: expected a finite number, got 'inf'\n"
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_extract_before_gen_data_fails_cleanly(capsys, tmp_path):

@@ -28,7 +28,6 @@ def test_defaults():
     assert cfg.resolutions == tuple(ResolutionSpec.parse(r) for r in DEFAULT_RESOLUTIONS)
     assert cfg.align_target is None
     assert cfg.train.dtype == "float64"
-    assert cfg.weights_split == "dev"
     assert cfg.checkpoint_dir == Path("data/checkpoints")
 
 
@@ -65,6 +64,8 @@ def test_unknown_key_rejected_with_location():
         pytest.param("train.recrop_each_epoch", "false", id="train.recrop_each_epoch"),
         # adaptive average pooling is the only alignment
         pytest.param("alignment.method", "adaptive_pool", id="alignment.method"),
+        # gate weights are always ranked on dev, the split training selects epochs on
+        pytest.param("weights.split", "dev", id="weights.split"),
     ],
 )
 def test_removed_key_rejected(key, value):
@@ -82,6 +83,22 @@ def test_bad_value_names_key():
         parse_config("corpus.sample_rate = loud\n")
     with pytest.raises(ConfigError, match="alignment.target"):
         parse_config("alignment.target = wide\n")
+    # float keys take finite values only; nan and inf used to load, or crash
+    # later with a traceback or a message that named no key
+    for key, value in [
+        ("corpus.duration_s", "inf"),
+        ("corpus.duration_s", "nan"),
+        ("train.target_duration_s", "inf"),
+        ("train.target_duration_s", "nan"),
+        ("train.peak_lr", "nan"),
+        ("train.peak_lr", "inf"),
+        ("train.weight_decay", "nan"),
+        ("tdcf.c1", "nan"),
+        ("tdcf.c2", "inf"),
+        ("tdcf.c2", "-inf"),
+    ]:
+        with pytest.raises(ConfigError, match=rf"bad value for {re.escape(key)}: expected a finite number"):
+            parse_config(f"{key} = {value}\n")
     # the source is named once, not once per wrapping
     with pytest.raises(ConfigError) as info:
         parse_config("features.resolutions = 12x\n", source="run.cfg")
@@ -91,8 +108,6 @@ def test_bad_value_names_key():
 def test_semantic_validation():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("features.resolutions = 128/32,128/32\n")
-    with pytest.raises(ConfigError, match="weights.split"):
-        parse_config("weights.split = test\n")
     with pytest.raises(ConfigError, match="non-empty"):
         parse_config("features.resolutions = ,\n")
     # values each section's own validation rejects, reported under the key
@@ -168,7 +183,6 @@ NON_DEFAULTS = {
     "backend.se_reduction": "8",
     "tdcf.c1": "2.0",
     "tdcf.c2": "3.0",
-    "weights.split": "train",
     "paths.corpus_dir": "x/corpus",
     "paths.cache_dir": "x/cache",
     "paths.checkpoint_dir": "x/checkpoints",
@@ -182,7 +196,6 @@ def _field(cfg, key):
     return {
         "features.resolutions": cfg.resolutions,
         "alignment.target": cfg.align_target,
-        "weights.split": cfg.weights_split,
         "paths.corpus_dir": cfg.corpus_dir,
         "paths.cache_dir": cfg.cache_dir,
         "paths.checkpoint_dir": cfg.checkpoint_dir,
@@ -244,3 +257,21 @@ def test_with_resolutions_replaces_list():
 def test_target_must_be_positive():
     with pytest.raises(ConfigError, match="target"):
         parse_config("alignment.target = 0x10\n")
+
+
+def test_readme_config_table_names_only_real_keys():
+    # the first column of README's Configuration table, e.g.
+    # `corpus.n_train` / `n_dev` / `n_eval`: a bare name takes its row's section
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Configuration", 1)[1].split("\n\n| key |", 1)[1].split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    assert rows
+    for row in rows:
+        keys = re.findall(r"`([^`]+)`", row.split(" | ", 1)[0])
+        section = keys[0].partition(".")[0]
+        for key in keys:
+            key = key if "." in key else f"{section}.{key}"
+            if key.endswith(".*"):
+                assert any(k.startswith(key[:-1]) for k in _DEFAULTS), row
+            else:
+                assert key in _DEFAULTS, row

@@ -342,18 +342,23 @@ def test_eval_missing_checkpoint(tmp_path):
         run_eval(config, tmp_path / "none.mrck")
 
 
-def test_mean_weights_split_selection(run_dir):
+def test_mean_weights_read_dev(run_dir):
     tmp_path, config = run_dir
     _, ckpt = run_train(config)
     model, weights = mean_weights(config, ckpt)
     assert weights.shape == (2,)
     assert ((weights > 0) & (weights < 1)).all()
-    # weights.split defaults to dev; setting it to train switches the split
-    per_split = {
-        split: mean_weights_over_set(load_split_cache(config, split), model.predictor)
-        for split in ("dev", "train")
-    }
-    np.testing.assert_array_equal(weights, per_split["dev"])
-    _, train_weights = mean_weights(dataclasses.replace(config, weights_split="train"), ckpt)
-    np.testing.assert_array_equal(train_weights, per_split["train"])
-    assert not np.array_equal(per_split["dev"], per_split["train"])
+    dev = mean_weights_over_set(load_split_cache(config, "dev"), model.predictor)
+    np.testing.assert_array_equal(weights, dev)
+
+
+def test_weight_report_is_the_prune_report_without_verdicts(run_dir, tmp_path):
+    _, config = run_dir
+    config = dataclasses.replace(config, checkpoint_dir=tmp_path)
+    _, ckpt = run_train(config)
+    ranking = weight_report(config, ckpt).splitlines()
+    run_prune(config, ckpt)
+    report = (tmp_path / "prune_report.txt").read_text(encoding="utf-8").splitlines()
+    per_resolution = [line.rpartition("\t") for line in report if not line.startswith("#")]
+    assert [head for head, _, _ in per_resolution] == ranking
+    assert {verdict for _, _, verdict in per_resolution} == {"retained", "discarded"}

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from multires.pruning import format_report, prune
+from multires.pruning import format_report, prune, rank_weights
 from multires.stft import ResolutionSpec
 
 from oracles import brute_prune
@@ -85,3 +85,10 @@ def test_report_counts_reflect_both_readings():
     report = format_report(result)
     assert "retained above the gap: 3 of 5" in report
     assert "would keep 2" in report
+
+
+def test_rank_weights_heaviest_first_ties_in_input_order():
+    res = _res(4)
+    ranked = rank_weights(res, np.array([0.2, 0.7, 0.2, 0.7]))
+    assert [r for r, _ in ranked] == [res[1], res[3], res[0], res[2]]
+    assert ranked[0][1] == "128\t16\t0.700000"

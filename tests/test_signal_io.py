@@ -16,6 +16,7 @@ from multires.signal_io import (
     unify_length,
     write_protocol,
     write_scores,
+    write_text,
     write_wav,
 )
 
@@ -185,3 +186,10 @@ def test_atomic_write_failing_midway_keeps_previous_file(tmp_path):
             raise RuntimeError("failed midway")
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_text_creates_missing_directories(tmp_path):
+    path = tmp_path / "new" / "dir" / "report.txt"
+    write_text(path, "256\t64\t0.5\tgewählt\n")
+    assert path.read_bytes() == "256\t64\t0.5\tgewählt\n".encode("utf-8")
+    assert list(path.parent.iterdir()) == [path]
