@@ -11,13 +11,18 @@ Stage s >= 2 opens with a stride-2 block that doubles the channel count.
 
 Every conv (stem, 3x3 at stride 1 and 2, 1x1 projection) is one
 implicit-GEMM kernel, the unrolled-GEMM convolution of Chellapilla, Puri &
-Simard (2006) without the unrolled matrix. A call pads x and lays it out
-once as a channel-major buffer (C, N * W_q * H_q + tail), so kernel tap
-(i, j) is a slice of it at a fixed flat offset and the conv is k * k GEMMs
-summed on the padded grid, then cropped. A stride-2 conv first splits the
-padded input into its 2 x 2 polyphase parts, and tap (i, j) reads part
-(i % 2, j % 2). Backward re-gathers x and runs the same per-tap GEMMs for
-d_weight and for the buffer gradient, which is then gathered back onto x.
+Simard (2006) without the unrolled matrix. The padded input is a (W_q, H_q)
+grid per example, so kernel tap (i, j) reads it at a fixed flat offset and
+the conv is k * k GEMMs summed on the grid, then cropped. A stride-2 conv
+splits the padded input into its 2 x 2 polyphase parts, and tap (i, j)
+reads part (i % 2, j % 2). A call takes one example's output rows a
+cache-sized block at a time: it copies the grid rows the block reads from
+x into a channel-major slab, runs the tap GEMMs on it, and adds the bias
+into the block's rows of y, so it holds no input- or output-sized
+temporary (Anderson et al., "Low-memory GEMM-based convolution algorithms
+for deep neural networks", 2017). Backward refills the slabs from x and runs
+the same per-tap GEMMs for d_weight and for the input gradient, which adds
+up in a rolling slab and is copied onto dx row by row.
 Activations stay (N, C, W, H) between calls.
 
 Every forward takes ``keep_cache``. A training forward keeps the backward
@@ -166,72 +171,74 @@ class _TapLayout:
     """Polyphase grid of one conv call and where each kernel tap reads it.
 
     The padded input splits into its stride x stride polyphase parts, each on
-    a (W_q, H_q) grid per example, laid out channel-major as one buffer
-    (C, phases, N * W_q * H_q + tail). Tap (i, j) reads phase (i % s, j % s)
-    at flat offset (i // s) * H_q + j // s, so its GEMM operand is a slice
-    with contiguous rows. Outputs are computed on the grid and cropped to
-    (W', H'); the tail keeps the last tap's slice inside the buffer.
+    a (W_q, H_q) grid per example. Tap (i, j) reads phase (i % s, j % s) at
+    flat offset (i // s) * H_q + j // s of that grid, so on a slab of whole
+    grid rows, laid out channel-major as (C, phases, rows * H_q), its GEMM
+    operand is a slice with contiguous rows. Outputs are computed on the grid
+    rows and cropped to (W', H'). A block of output rows [a0, a1) reads grid
+    rows [a0, a1 + halo), where halo covers the largest tap offset.
     """
 
     def __init__(self, x_shape: tuple[int, ...], k: int, stride: int) -> None:
         n, _, w, h = x_shape
-        self.x_shape, self.stride, self.pad = tuple(x_shape), stride, (k - 1) // 2
+        self.n, self.stride, pad = n, stride, (k - 1) // 2
         self.wo, self.ho = -(-w // stride), -(-h // stride)
         reach = (k - 1) // stride
         self.wq, self.hq = self.wo + reach, self.ho + reach
-        self.size = n * self.wq * self.hq  # columns of every tap GEMM
         self.phases = sorted({(i % stride, j % stride) for i in range(k) for j in range(k)})
         self.taps = [  # (i, j, phase index, flat offset)
             (i, j, self.phases.index((i % stride, j % stride)), (i // stride) * self.hq + j // stride)
             for i in range(k)
             for j in range(k)
         ]
-
-    def blocks(self, rows: int, dtype) -> tuple[int, list[slice]]:
-        """Column blocks of the tap GEMMs: (widest block, blocks).
-
-        A block is a run of one example's output rows, sized so `rows` rows
-        of it (inputs plus outputs) take at most about `_BLOCK_BYTES`. Grid
-        rows past W' are never computed. Every example is cut the same way,
-        so an output column meets GEMMs of the same shapes whatever the
-        batch, and a forward pass does not depend on the batch it is in.
-        """
-        per = max(1, _BLOCK_BYTES // (rows * np.dtype(dtype).itemsize * self.hq))
-        g = self.wq * self.hq
-        return per * self.hq, [
-            slice(n * g + a * self.hq, n * g + min(a + per, self.wo) * self.hq)
-            for n in range(self.x_shape[0])
-            for a in range(0, self.wo, per)
+        self.halo = -(-max(off for *_, off in self.taps) // self.hq)
+        self.spans = [  # (grid rows, input rows, grid columns, input columns) per phase
+            _phase_span(w, pi, pad, stride) + _phase_span(h, pj, pad, stride) for pi, pj in self.phases
         ]
 
-    def _phase_views(self, buf: np.ndarray, x: np.ndarray):
-        """Matching (buffer part, input part) views, one pair per phase."""
-        grid = buf[:, :, : self.size].reshape(buf.shape[:2] + (self.x_shape[0], self.wq, self.hq))
-        for ph, (pi, pj) in enumerate(self.phases):
-            gu, xu = _phase_span(self.x_shape[2], pi, self.pad, self.stride)
-            gv, xv = _phase_span(self.x_shape[3], pj, self.pad, self.stride)
-            yield grid[:, ph, :, gu, gv], x[:, :, xu, xv].transpose(1, 0, 2, 3)
+    def blocks(self, rows: int, dtype) -> tuple[int, list[tuple[int, int, int]]]:
+        """Blocks of the tap GEMMs: (most output rows in one, [(n, a0, a1)]).
 
-    def gather(self, x: np.ndarray, dtype) -> np.ndarray:
-        """Pad x and lay its polyphase parts out channel-major, in one pass."""
-        tail = max(off for *_, off in self.taps)
-        buf = np.zeros((x.shape[1], len(self.phases), self.size + tail), dtype=dtype)
-        for part, x_part in self._phase_views(buf, x):
-            part[...] = x_part
-        return buf
+        A block is a run [a0, a1) of example n's output rows, sized so `rows`
+        rows of its columns (inputs plus outputs) take at most about
+        `_BLOCK_BYTES`, and at most W'. Grid rows past W' are never
+        computed. Every example is cut the same way, so an output column
+        meets GEMMs of the same shapes whatever the batch, and a forward pass
+        does not depend on the batch it is in.
+        """
+        per = min(self.wo, max(1, _BLOCK_BYTES // (rows * np.dtype(dtype).itemsize * self.hq)))
+        return per, [(n, a, min(a + per, self.wo)) for n in range(self.n) for a in range(0, self.wo, per)]
 
-    def scatter(self, d_buf: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. x from the gradient w.r.t. its gathered buffer."""
-        n, _, w, h = self.x_shape
-        dx = np.zeros((n, d_buf.shape[0], w, h), dtype=d_buf.dtype)
-        for part, dx_part in self._phase_views(d_buf, dx):
-            dx_part[...] = part
-        return dx
+    def slab(self, channels: int, per: int, dtype) -> np.ndarray:
+        """Zeroed (C, phases, (per + halo) * H_q) grid rows of one block."""
+        return np.zeros((channels, len(self.phases), (per + self.halo) * self.hq), dtype=dtype)
 
-    def crop(self, flat: np.ndarray) -> np.ndarray:
-        """(C, N * W_q * H_q) grid values -> (N, C, W', H') view of the output."""
-        grid = flat.reshape(flat.shape[0], self.x_shape[0], self.wq, self.hq)
-        return grid[:, :, : self.wo, : self.ho].transpose(1, 0, 2, 3)
+    def _rows(self, ph: int, r0: int, r1: int) -> tuple[slice, slice]:
+        """Grid rows [r0, r1) of phase ph that hold input: (slab rows, input rows)."""
+        gu, xu = self.spans[ph][:2]
+        lo, hi = (min(max(r, r0), r1) for r in (gu.start, gu.stop))
+        first = xu.start + self.stride * (lo - gu.start)
+        return slice(lo - r0, hi - r0), slice(first, first + self.stride * (hi - lo), self.stride)
+
+    def fill(self, slab: np.ndarray, x: np.ndarray, r0: int, r1: int) -> None:
+        """Slab rows from 0 = padded grid rows [r0, r1) of one example x (C, W, H).
+
+        Only the input's own positions are written, and rows that hold none
+        are zeroed, so the padding columns keep the zeros `slab` made.
+        """
+        grid = slab.reshape(slab.shape[:2] + (-1, self.hq))
+        for ph, (_, _, gv, xv) in enumerate(self.spans):
+            rows, x_rows = self._rows(ph, r0, r1)
+            grid[:, ph, : rows.start] = 0
+            grid[:, ph, rows.stop : r1 - r0] = 0
+            grid[:, ph, rows, gv] = x[:, x_rows, xv]
+
+    def drain(self, slab: np.ndarray, dx: np.ndarray, r0: int, r1: int) -> None:
+        """Copy the input positions of grid rows [r0, r1), slab rows from 0, onto dx (C, W, H)."""
+        grid = slab.reshape(slab.shape[:2] + (-1, self.hq))
+        for ph, (_, _, gv, xv) in enumerate(self.spans):
+            rows, x_rows = self._rows(ph, r0, r1)
+            dx[:, x_rows, xv] = grid[:, ph, rows, gv]
 
 
 def _tap_weights(weight: np.ndarray, dtype) -> np.ndarray:
@@ -239,63 +246,41 @@ def _tap_weights(weight: np.ndarray, dtype) -> np.ndarray:
     return np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=dtype)
 
 
-def _taps_forward(x: np.ndarray, weight: np.ndarray, lay: _TapLayout, dtype) -> np.ndarray:
-    """Sum over taps of W[:, :, i, j] @ tap slice, on the flat (C_out, grid)."""
-    buf = lay.gather(x, dtype)
-    w_taps = _tap_weights(weight, dtype)
-    c_out, c_in = weight.shape[:2]
-    acc = np.empty((c_out, lay.size), dtype=dtype)
-    step, blocks = lay.blocks(c_in + c_out, dtype)
-    tmp = np.empty((c_out, step), dtype=dtype)
-    for cols in blocks:
-        out, part = acc[:, cols], tmp[:, : cols.stop - cols.start]
-        for t, (i, j, ph, off) in enumerate(lay.taps):
-            np.matmul(w_taps[i, j], buf[:, ph, off + cols.start : off + cols.stop], out=part if t else out)
-            if t:
-                out += part
-    return acc
-
-
-def _taps_backward(
-    x: np.ndarray, weight: np.ndarray, dy: np.ndarray, lay: _TapLayout, dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tap GEMMs of dy against the gathered input: (d_buf, d_weight)."""
-    buf = lay.gather(x, dtype)
-    w_taps = _tap_weights(weight, dtype)
-    c_out, c_in = weight.shape[:2]
-    dy_p = np.zeros((c_out, lay.size), dtype=dtype)
-    lay.crop(dy_p)[...] = dy
-    dw_taps = np.zeros_like(w_taps)
-    dw_part = np.empty((c_out, c_in), dtype=dtype)
-    d_buf = np.zeros_like(buf)
-    step, blocks = lay.blocks(c_in + c_out, dtype)
-    tmp = np.empty((c_in, step), dtype=dtype)
-    for cols in blocks:
-        d_out, part = dy_p[:, cols], tmp[:, : cols.stop - cols.start]
-        for i, j, ph, off in lay.taps:
-            span = slice(off + cols.start, off + cols.stop)
-            np.matmul(d_out, buf[:, ph, span].T, out=dw_part)
-            dw_taps[i, j] += dw_part
-            np.matmul(w_taps[i, j].T, d_out, out=part)
-            d_buf[:, ph, span] += part
-    return d_buf, dw_taps.transpose(2, 3, 0, 1)
-
-
 def conv2d_forward(x: np.ndarray, p: ConvParams, stride: int = 1) -> np.ndarray:
     """Same-padded cross-correlation on (N, C_in, W, H) -> (N, C_out, W', H')."""
     _check_input(x, p)
     lay = _TapLayout(x.shape, p.weight.shape[2], stride)
     dtype = np.result_type(x, p.weight)
-    grid = lay.crop(_taps_forward(x, p.weight, lay, dtype))
-    y = np.empty(grid.shape, dtype=np.result_type(dtype, p.bias))
-    np.add(grid, p.bias[:, None, None], out=y)
+    w_taps = _tap_weights(p.weight, dtype)
+    c_out, c_in = p.weight.shape[:2]
+    per, blocks = lay.blocks(c_in + c_out, dtype)
+    slab = lay.slab(c_in, per, dtype)
+    acc = np.empty((c_out, per * lay.hq), dtype=dtype)
+    tmp = np.empty_like(acc)
+    y = np.empty((lay.n, c_out, lay.wo, lay.ho), dtype=np.result_type(dtype, p.bias))
+    for n, a0, a1 in blocks:
+        cols = (a1 - a0) * lay.hq
+        lay.fill(slab, x[n], a0, a1 + lay.halo)
+        out, part = acc[:, :cols], tmp[:, :cols]
+        for t, (i, j, ph, off) in enumerate(lay.taps):
+            np.matmul(w_taps[i, j], slab[:, ph, off : off + cols], out=part if t else out)
+            if t:
+                out += part
+        grid = out.reshape(c_out, a1 - a0, lay.hq)[:, :, : lay.ho]
+        np.add(grid, p.bias[:, None, None], out=y[n, :, a0:a1])
     return y
 
 
 def conv2d_backward(
     x: np.ndarray, p: ConvParams, dy: np.ndarray, stride: int = 1
 ) -> tuple[np.ndarray, ConvParams]:
-    """Gradients w.r.t. input and parameters; re-gathers x rather than caching it."""
+    """Gradients w.r.t. input and parameters; refills the slabs from x rather than caching them.
+
+    Each block's input-gradient products add into a slab of grid rows
+    [a0, a1 + halo). Rows below a1 get nothing from later blocks, so they go
+    straight onto dx; the halo rows carry over to the next block of the same
+    example, and a new example starts from zeros.
+    """
     _check_input(x, p)
     lay = _TapLayout(x.shape, p.weight.shape[2], stride)
     want = (x.shape[0], p.weight.shape[0], lay.wo, lay.ho)
@@ -304,9 +289,39 @@ def conv2d_backward(
             f"conv output gradient must be {want} for input {x.shape} at stride {stride}, "
             f"got {dy.shape}"
         )
-    d_buf, d_weight = _taps_backward(x, p.weight, dy, lay, np.result_type(x, p.weight, dy))
+    dtype = np.result_type(x, p.weight, dy)
+    w_taps = _tap_weights(p.weight, dtype)
+    c_out, c_in = p.weight.shape[:2]
+    per, blocks = lay.blocks(c_in + c_out, dtype)
+    slab = lay.slab(c_in, per, dtype)
+    d_slab = np.zeros_like(slab)
+    d_grid = d_slab.reshape(slab.shape[:2] + (-1, lay.hq))
+    d_out = np.zeros((c_out, per, lay.hq), dtype=dtype)  # columns past H' stay zero
+    tmp = np.empty((c_in, per * lay.hq), dtype=dtype)
+    dw_taps = np.zeros_like(w_taps)
+    dw_part = np.empty((c_out, c_in), dtype=dtype)
+    dx = np.zeros((lay.n, c_in) + x.shape[2:], dtype=dtype)
+    for n, a0, a1 in blocks:
+        rows, cols = a1 - a0, (a1 - a0) * lay.hq
+        lay.fill(slab, x[n], a0, a1 + lay.halo)
+        d_out[:, :rows, : lay.ho] = dy[n, :, a0:a1]
+        d_cols, part = d_out[:, :rows].reshape(c_out, cols), tmp[:, :cols]
+        for i, j, ph, off in lay.taps:
+            span = slice(off, off + cols)
+            np.matmul(d_cols, slab[:, ph, span].T, out=dw_part)
+            dw_taps[i, j] += dw_part
+            np.matmul(w_taps[i, j].T, d_cols, out=part)
+            d_slab[:, ph, span] += part
+        if a1 < lay.wo:
+            lay.drain(d_slab, dx[n], a0, a1)
+            d_grid[:, :, : lay.halo] = d_grid[:, :, rows : rows + lay.halo]
+            d_grid[:, :, lay.halo : rows + lay.halo] = 0
+        else:
+            lay.drain(d_slab, dx[n], a0, lay.wq)
+            d_grid[:, :, : rows + lay.halo] = 0
+    d_weight = np.ascontiguousarray(dw_taps.transpose(2, 3, 0, 1))
     d_bias = dy.sum(axis=(0, 2, 3)).astype(p.bias.dtype, copy=False)
-    return lay.scatter(d_buf), ConvParams(np.ascontiguousarray(d_weight), d_bias)
+    return dx, ConvParams(d_weight, d_bias)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

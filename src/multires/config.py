@@ -60,7 +60,10 @@ class AppConfig:
             raise ConfigError("features.resolutions contains duplicate window/hop pairs")
         if self.align_target is not None and min(self.align_target) < 1:
             raise ConfigError("alignment.target dims must be >= 1")
-        n_samples = sample_count(self.train.target_duration_s, self.corpus.sample_rate)
+        try:
+            n_samples = sample_count(self.train.target_duration_s, self.corpus.sample_rate)
+        except ValueError as exc:
+            raise ConfigError(f"train.target_duration_s = {exc}") from None
         for res in self.resolutions:
             if n_samples < res.min_samples:
                 raise ConfigError(

@@ -48,7 +48,10 @@ class CorpusSpec:
                 raise ValueError(f"{name} must be >= 2 (a bona fide and a spoof utterance)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        n_samples = sample_count(self.duration_s, self.sample_rate)
+        try:
+            n_samples = sample_count(self.duration_s, self.sample_rate)
+        except ValueError as exc:
+            raise ValueError(f"duration_s = {exc}") from None
         if n_samples < 1:
             raise ValueError(
                 f"duration_s = {self.duration_s!r} gives {n_samples} samples "

@@ -19,6 +19,7 @@ through :func:`atomic_write`, which creates its directory, text as UTF-8 via
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -207,8 +208,14 @@ def write_wav(path: str | Path, waveform: Waveform) -> None:
 
 
 def sample_count(seconds: float, sample_rate: int) -> int:
-    """Length in samples of ``seconds`` of audio: ``round(seconds * sample_rate)``."""
-    return int(round(seconds * sample_rate))
+    """Length in samples of ``seconds`` of audio: ``round(seconds * sample_rate)``.
+
+    Raises ValueError, not OverflowError, when the product is not finite.
+    """
+    samples = seconds * sample_rate
+    if not math.isfinite(samples):
+        raise ValueError(f"{seconds!r} s gives no finite sample count at {sample_rate} Hz")
+    return int(round(samples))
 
 
 def unify_length(

@@ -157,6 +157,18 @@ def test_non_finite_config_value_fails_cleanly(capsys, tmp_path):
     assert not (tmp_path / "corpus").exists()
 
 
+@pytest.mark.parametrize("key", ["corpus.duration_s", "train.target_duration_s"])
+def test_overflowing_duration_fails_cleanly(capsys, tmp_path, key):
+    # a finite duration whose sample count overflows used to end in an OverflowError traceback
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(with_paths(MICRO + f"{key} = 1e308\n", tmp_path))
+    assert main(["--config", str(cfg), "gen-data"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {cfg}: {key} = 1e+308 s gives no finite sample count at 2000 Hz\n"
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_extract_before_gen_data_fails_cleanly(capsys, tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(MICRO + f"paths.corpus_dir = {tmp_path / 'corpus'}\npaths.cache_dir = {tmp_path / 'cache'}\n")

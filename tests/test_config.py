@@ -125,6 +125,12 @@ def test_semantic_validation():
         ("train.seed = -1", r"train\.seed must be >= 0"),
         # 1e-05 s rounds to no sample at 8 kHz, which gen-data cannot synthesize
         ("corpus.duration_s = 0.00001", r"corpus\.duration_s = 1e-05 gives 0 samples at 8000 Hz"),
+        # finite durations whose sample count overflows used to end in an OverflowError
+        ("corpus.duration_s = 1e308", r"corpus\.duration_s = 1e\+308 s gives no finite sample count at 8000 Hz"),
+        (
+            "train.target_duration_s = 1e308",
+            r"train\.target_duration_s = 1e\+308 s gives no finite sample count at 8000 Hz",
+        ),
         # 0.2 s at 8 kHz is 1600 samples; reflect padding for 4096/64 needs 2049
         (
             "features.resolutions = 128/32, 4096/64\ntrain.target_duration_s = 0.2",

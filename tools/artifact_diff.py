@@ -1,0 +1,144 @@
+"""Run the CLI pipeline in the working tree and at a git revision, and diff every byte.
+
+    python3 tools/artifact_diff.py [REV] [--work DIR]
+
+REV defaults to HEAD. Its committed tree is exported with `git archive`
+into the work directory (default: a temporary directory, removed at the
+end), so the repository gains no worktree or branch. Both trees then run,
+through `python -m multires` with one BLAS thread, the pipeline
+
+    gen-data, extract, train, eval, eval --split dev, inspect-weights,
+    prune, eval of the refined checkpoint
+
+for four variants: float32 and float64, each with `alignment.target` fixed
+and with `max`. The corpus is longer than the training target, so the
+second epoch redraws its crops, and the maps are large enough that the
+convs cut them into several column blocks. Every file a run writes and
+every command's stdout and exit code are hashed (sha256, read in 1 MiB
+chunks). The script prints each name whose hash differs or that only one
+tree has, and exits 1 on any difference, 0 when all four runs match.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Relative paths, so both trees print the same `wrote ...` lines.
+CONFIG = """\
+corpus.n_train = 8
+corpus.n_dev = 4
+corpus.n_eval = 4
+corpus.duration_s = 0.4
+corpus.sample_rate = 2000
+corpus.spoof_synthesis = 64/16
+corpus.seed = 3
+features.resolutions = 32/8,48/12,64/16
+train.epochs = 2
+train.batch_size = 4
+train.seed = 3
+train.warmup_steps = 4
+train.target_duration_s = 0.3
+backend.stem_channels = 16
+backend.stages = 2
+backend.blocks_per_stage = 1
+backend.se_reduction = 4
+paths.corpus_dir = corpus
+paths.cache_dir = cache
+paths.checkpoint_dir = ckpt
+"""
+
+VARIANTS = [(dtype, target) for dtype in ("float32", "float64") for target in ("64x65", "max")]
+
+COMMANDS = [
+    ["gen-data"],
+    ["extract"],
+    ["train"],
+    ["eval", "ckpt/full.mrck"],
+    ["eval", "ckpt/full.mrck", "--split", "dev"],
+    ["inspect-weights", "ckpt/full.mrck"],
+    ["prune", "ckpt/full.mrck"],
+    ["eval", "ckpt/refined.mrck"],
+]
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def file_hash(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def export_rev(rev: str, dest: Path) -> None:
+    """The committed tree of `rev`, written under `dest`."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_pipeline(tree: Path, run_dir: Path, dtype: str, target: str) -> dict[str, str]:
+    """Hash of every file the pipeline writes under `run_dir` and of each command's output."""
+    run_dir.mkdir(parents=True)
+    (run_dir / "run.cfg").write_text(
+        CONFIG + f"train.dtype = {dtype}\nalignment.target = {target}\n", encoding="utf-8"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{var: "1" for var in THREAD_VARS})
+    hashes = {}
+    for command in COMMANDS:
+        done = subprocess.run(
+            [sys.executable, "-m", "multires", "--config", "run.cfg", *command],
+            cwd=run_dir, env=env, capture_output=True,
+        )
+        if done.returncode != 0:
+            sys.exit(f"{tree}: `multires {' '.join(command)}` exited {done.returncode}:\n{done.stderr.decode()}")
+        hashes[f"stdout of {' '.join(command)}"] = hashlib.sha256(done.stdout).hexdigest()
+    for path in sorted(run_dir.rglob("*")):
+        if path.is_file():
+            hashes[str(path.relative_to(run_dir))] = file_hash(path)
+    return hashes
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", nargs="?", default="HEAD", help="revision to compare against (default HEAD)")
+    parser.add_argument("--work", type=Path, help="work directory, kept afterwards (default: a removed temp dir)")
+    args = parser.parse_args(argv)
+    work = args.work or Path(tempfile.mkdtemp(prefix="artifact_diff_"))
+    try:
+        base = work / "rev"
+        export_rev(args.rev, base)
+        differ = False
+        for dtype, target in VARIANTS:
+            name = f"{dtype}_{target}"
+            want = run_pipeline(base, work / "runs" / "rev" / name, dtype, target)
+            got = run_pipeline(ROOT, work / "runs" / "tree" / name, dtype, target)
+            bad = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+            differ |= bool(bad)
+            for key in bad:
+                where = "differs" if key in want and key in got else f"only in {'rev' if key in want else 'tree'}"
+                print(f"{name}: {key} {where}")
+            print(f"{name}: {len(want) - len(bad)} of {len(want.keys() | got.keys())} hashes identical")
+    finally:
+        if args.work is None:
+            shutil.rmtree(work)
+    print(f"artifacts {'DIFFER from' if differ else 'identical to'} {args.rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
