@@ -26,15 +26,26 @@ up in a rolling slab and is copied onto dx row by row.
 Activations stay (N, C, W, H) between calls.
 
 Every forward takes ``keep_cache``. A training forward keeps the backward
-cache, which holds each activation once; a ReLU's mask is read from its
-output, as relu(z) > 0 exactly where z > 0. A scoring forward
-(``keep_cache=False``) returns None for the cache and drops each activation
-once the next layer has read it: between layers it holds the block's input
-and the current activation, not every layer's for the whole batch.
+cache, which holds each activation once; a ReLU is applied in place on the
+fresh conv output, and its mask is read from that output, as relu(z) > 0
+exactly where z > 0. A scoring forward (``keep_cache=False``) returns None
+for the cache and drops each activation once the next layer has read it:
+between layers it holds the block's input and the current activation, not
+every layer's for the whole batch, and the SE gate scales conv2's output in
+place.
+
+Backward consumes the cache. It takes the block caches out of it, last
+block first, and drops each activation after its last read; the ReLU masks
+multiply into gradients the step made itself, and the skip sums add in
+place. So a training step peaks a little above its forward's cache, not at
+twice it, and a second backward on the same cache raises ValueError.
+Nothing is written into an array the caller passed in, except the output
+gradient handed to `block_backward`, whose buffer that call takes over.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -168,7 +179,7 @@ def _phase_span(n: int, phase: int, pad: int, stride: int) -> tuple[slice, slice
 
 
 class _TapLayout:
-    """Polyphase grid of one conv call and where each kernel tap reads it.
+    """Polyphase grid of one conv shape and where each kernel tap reads it.
 
     The padded input splits into its stride x stride polyphase parts, each on
     a (W_q, H_q) grid per example. Tap (i, j) reads phase (i % s, j % s) at
@@ -179,9 +190,8 @@ class _TapLayout:
     rows [a0, a1 + halo), where halo covers the largest tap offset.
     """
 
-    def __init__(self, x_shape: tuple[int, ...], k: int, stride: int) -> None:
-        n, _, w, h = x_shape
-        self.n, self.stride, pad = n, stride, (k - 1) // 2
+    def __init__(self, w: int, h: int, k: int, stride: int) -> None:
+        self.stride, pad = stride, (k - 1) // 2
         self.wo, self.ho = -(-w // stride), -(-h // stride)
         reach = (k - 1) // stride
         self.wq, self.hq = self.wo + reach, self.ho + reach
@@ -196,10 +206,10 @@ class _TapLayout:
             _phase_span(w, pi, pad, stride) + _phase_span(h, pj, pad, stride) for pi, pj in self.phases
         ]
 
-    def blocks(self, rows: int, dtype) -> tuple[int, list[tuple[int, int, int]]]:
-        """Blocks of the tap GEMMs: (most output rows in one, [(n, a0, a1)]).
+    def blocks(self, n: int, rows: int, dtype) -> tuple[int, list[tuple[int, int, int]]]:
+        """Blocks of the tap GEMMs over n examples: (most output rows in one, [(i, a0, a1)]).
 
-        A block is a run [a0, a1) of example n's output rows, sized so `rows`
+        A block is a run [a0, a1) of example i's output rows, sized so `rows`
         rows of its columns (inputs plus outputs) take at most about
         `_BLOCK_BYTES`, and at most W'. Grid rows past W' are never
         computed. Every example is cut the same way, so an output column
@@ -207,7 +217,7 @@ class _TapLayout:
         does not depend on the batch it is in.
         """
         per = min(self.wo, max(1, _BLOCK_BYTES // (rows * np.dtype(dtype).itemsize * self.hq)))
-        return per, [(n, a, min(a + per, self.wo)) for n in range(self.n) for a in range(0, self.wo, per)]
+        return per, [(i, a, min(a + per, self.wo)) for i in range(n) for a in range(0, self.wo, per)]
 
     def slab(self, channels: int, per: int, dtype) -> np.ndarray:
         """Zeroed (C, phases, (per + halo) * H_q) grid rows of one block."""
@@ -241,6 +251,16 @@ class _TapLayout:
             dx[:, x_rows, xv] = grid[:, ph, rows, gv]
 
 
+@functools.lru_cache(maxsize=256)
+def _tap_layout(w: int, h: int, k: int, stride: int) -> _TapLayout:
+    """The layout of every conv on W x H inputs with this k and stride, built once.
+
+    Callers only read it. `blocks` reads `_BLOCK_BYTES` on each call, so the
+    block size is not frozen into the cached layout.
+    """
+    return _TapLayout(w, h, k, stride)
+
+
 def _tap_weights(weight: np.ndarray, dtype) -> np.ndarray:
     """(C_out, C_in, k, k) -> (k, k, C_out, C_in), so each tap is contiguous."""
     return np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=dtype)
@@ -249,15 +269,15 @@ def _tap_weights(weight: np.ndarray, dtype) -> np.ndarray:
 def conv2d_forward(x: np.ndarray, p: ConvParams, stride: int = 1) -> np.ndarray:
     """Same-padded cross-correlation on (N, C_in, W, H) -> (N, C_out, W', H')."""
     _check_input(x, p)
-    lay = _TapLayout(x.shape, p.weight.shape[2], stride)
+    lay = _tap_layout(*x.shape[2:], p.weight.shape[2], stride)
     dtype = np.result_type(x, p.weight)
     w_taps = _tap_weights(p.weight, dtype)
     c_out, c_in = p.weight.shape[:2]
-    per, blocks = lay.blocks(c_in + c_out, dtype)
+    per, blocks = lay.blocks(x.shape[0], c_in + c_out, dtype)
     slab = lay.slab(c_in, per, dtype)
     acc = np.empty((c_out, per * lay.hq), dtype=dtype)
     tmp = np.empty_like(acc)
-    y = np.empty((lay.n, c_out, lay.wo, lay.ho), dtype=np.result_type(dtype, p.bias))
+    y = np.empty((x.shape[0], c_out, lay.wo, lay.ho), dtype=np.result_type(dtype, p.bias))
     for n, a0, a1 in blocks:
         cols = (a1 - a0) * lay.hq
         lay.fill(slab, x[n], a0, a1 + lay.halo)
@@ -282,7 +302,7 @@ def conv2d_backward(
     example, and a new example starts from zeros.
     """
     _check_input(x, p)
-    lay = _TapLayout(x.shape, p.weight.shape[2], stride)
+    lay = _tap_layout(*x.shape[2:], p.weight.shape[2], stride)
     want = (x.shape[0], p.weight.shape[0], lay.wo, lay.ho)
     if dy.shape != want:
         raise ValueError(
@@ -292,7 +312,7 @@ def conv2d_backward(
     dtype = np.result_type(x, p.weight, dy)
     w_taps = _tap_weights(p.weight, dtype)
     c_out, c_in = p.weight.shape[:2]
-    per, blocks = lay.blocks(c_in + c_out, dtype)
+    per, blocks = lay.blocks(x.shape[0], c_in + c_out, dtype)
     slab = lay.slab(c_in, per, dtype)
     d_slab = np.zeros_like(slab)
     d_grid = d_slab.reshape(slab.shape[:2] + (-1, lay.hq))
@@ -300,7 +320,7 @@ def conv2d_backward(
     tmp = np.empty((c_in, per * lay.hq), dtype=dtype)
     dw_taps = np.zeros_like(w_taps)
     dw_part = np.empty((c_out, c_in), dtype=dtype)
-    dx = np.zeros((lay.n, c_in) + x.shape[2:], dtype=dtype)
+    dx = np.zeros(x.shape, dtype=dtype)
     for n, a0, a1 in blocks:
         rows, cols = a1 - a0, (a1 - a0) * lay.hq
         lay.fill(slab, x[n], a0, a1 + lay.halo)
@@ -324,8 +344,13 @@ def conv2d_backward(
     return dx, ConvParams(d_weight, d_bias)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu_in_place(z: np.ndarray) -> np.ndarray:
+    """ReLU written into z, a fresh array that no one else holds; returns z.
+
+    A backward mask reads the output as relu(z) > 0, which is z > 0, so the
+    derivative at exactly 0 is 0.
+    """
+    return np.maximum(z, 0, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -334,41 +359,66 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BlockCache:
-    x: np.ndarray
-    act1: np.ndarray  # relu(conv1(x))
-    se_cache: ExciteCache
-    out: np.ndarray  # the block's output, relu(se(conv2) + skip)
+    """What one block's backward reads; `take` hands the activations over once."""
+
+    x: Optional[np.ndarray]
+    act1: Optional[np.ndarray]  # relu(conv1(x))
+    se_cache: Optional[ExciteCache]
+    out: Optional[np.ndarray]  # the block's output, relu(se(conv2) + skip)
     params: BlockParams
+
+    def take(self) -> tuple[np.ndarray, np.ndarray, ExciteCache, np.ndarray]:
+        """(x, act1, se_cache, out), leaving the cache empty so they can be freed."""
+        if self.out is None:
+            raise ValueError("block cache was consumed by an earlier backward pass")
+        held = (self.x, self.act1, self.se_cache, self.out)
+        self.x = self.act1 = self.se_cache = self.out = None
+        return held
 
 
 def block_forward(
     x: np.ndarray, p: BlockParams, keep_cache: bool = True
 ) -> tuple[np.ndarray, Optional[BlockCache]]:
     """out = relu(se(conv2(relu(conv1(x)))) + skip(x))."""
-    act1 = relu(conv2d_forward(x, p.conv1, p.stride))
+    act1 = relu_in_place(conv2d_forward(x, p.conv1, p.stride))
     pre2 = conv2d_forward(act1, p.conv2, 1)
     if not keep_cache:
         act1 = None  # conv2 was its last reader
-    out, se_cache = excite_forward(pre2, p.se, keep_cache)
+    # the SE cache keeps pre2; without one, pre2 is scaled where it lies
+    out, se_cache = excite_forward(pre2, p.se, keep_cache, out=None if keep_cache else pre2)
     del pre2
     out += x if p.proj is None else conv2d_forward(x, p.proj, p.stride)
-    np.maximum(out, 0, out=out)
+    relu_in_place(out)
     return out, BlockCache(x, act1, se_cache, out, p) if keep_cache else None
 
 
 def block_backward(cache: BlockCache, dout: np.ndarray) -> tuple[np.ndarray, BlockParams]:
+    """Block output gradient -> input gradient plus parameter gradients.
+
+    Consumes both arguments. The activations are taken out of the cache and
+    each is dropped after its last read, so a second call on the same cache
+    raises ValueError. dout's buffer becomes the gradient at the final ReLU;
+    pass a copy to keep it.
+    """
     p = cache.params
-    d_pre = dout * (cache.out > 0)
-    d_pre2, d_se = excite_backward(cache.se_cache, d_pre)
-    d_act1, d_conv2 = conv2d_backward(cache.act1, p.conv2, d_pre2, 1)
-    d_pre1 = d_act1 * (cache.act1 > 0)
-    dx, d_conv1 = conv2d_backward(cache.x, p.conv1, d_pre1, p.stride)
+    x, act1, se_cache, out = cache.take()
+    d_pre = dout  # masked in place into the gradient at the final ReLU's input
+    d_pre *= out > 0
+    del out
+    d_pre2, d_se = excite_backward(se_cache, d_pre)
+    del se_cache
+    d_pre1, d_conv2 = conv2d_backward(act1, p.conv2, d_pre2, 1)
+    del d_pre2
+    d_pre1 *= act1 > 0  # d_act1 until masked
+    del act1
+    dx, d_conv1 = conv2d_backward(x, p.conv1, d_pre1, p.stride)
+    del d_pre1
     if p.proj is None:
-        dx = dx + d_pre
+        dx += d_pre
         d_proj = None
     else:
-        dx_skip, d_proj = conv2d_backward(cache.x, p.proj, d_pre, p.stride)
-        dx = dx + dx_skip
+        dx_skip, d_proj = conv2d_backward(x, p.proj, d_pre, p.stride)
+        dx += dx_skip
     return dx, BlockParams(d_conv1, d_conv2, d_proj, d_se, p.stride)
 
 
@@ -379,7 +429,7 @@ def block_backward(cache: BlockCache, dout: np.ndarray) -> tuple[np.ndarray, Blo
 @dataclass
 class BackendCache:
     x: np.ndarray
-    blocks: list[BlockCache]  # blocks[0].x is the stem's ReLU output
+    blocks: list[BlockCache]  # blocks[0].x is the stem's ReLU output; emptied by backward
     pooled: np.ndarray
     params: BackendParams
 
@@ -388,7 +438,7 @@ def backend_forward(
     x: np.ndarray, params: BackendParams, keep_cache: bool = True
 ) -> tuple[np.ndarray, Optional[BackendCache]]:
     """Stack batch (N, M, W, H) -> logits (N, N_CLASSES), plus the backward cache if kept."""
-    h = relu(conv2d_forward(x, params.stem, 1))
+    h = relu_in_place(conv2d_forward(x, params.stem, 1))
     blocks = []
     for bp in params.blocks:
         h, bc = block_forward(h, bp, keep_cache)
@@ -401,19 +451,30 @@ def backend_forward(
 
 
 def backend_backward(cache: BackendCache, d_logits: np.ndarray) -> tuple[np.ndarray, BackendParams]:
-    """d_logits (N, N_CLASSES) -> input-stack gradient plus parameter gradients."""
+    """d_logits (N, N_CLASSES) -> input-stack gradient plus parameter gradients.
+
+    Consumes the cache: its block caches are taken out of it, last block
+    first, and each block's backward frees its activations at their last
+    reads, so the step holds the activations of the blocks not yet reached
+    beside one block's gradients, not every block's twice over.
+    A second call on the same cache raises ValueError. d_logits is only read.
+    """
+    blocks, cache.blocks = cache.blocks, []
+    if not blocks:
+        raise ValueError("backend cache was consumed by an earlier backward pass")
     params = cache.params
+    stem_out = blocks[0].x
     d_fc_w = d_logits.T @ cache.pooled
     d_fc_b = d_logits.sum(axis=0)
     d_pooled = d_logits @ params.fc_weight
-    features = cache.blocks[-1].out
-    spatial = features.shape[2] * features.shape[3]
-    dh = np.broadcast_to(d_pooled[:, :, None, None] / spatial, features.shape).copy()
+    shape = blocks[-1].out.shape
+    dh = np.broadcast_to(d_pooled[:, :, None, None] / (shape[2] * shape[3]), shape).copy()
     d_blocks: list[BlockParams] = []
-    for bc in reversed(cache.blocks):
-        dh, bg = block_backward(bc, dh)
+    while blocks:
+        dh, bg = block_backward(blocks.pop(), dh)
         d_blocks.append(bg)
     d_blocks.reverse()
-    d_stem_in = dh * (cache.blocks[0].x > 0)
-    dx, d_stem = conv2d_backward(cache.x, params.stem, d_stem_in, 1)
+    dh *= stem_out > 0
+    del stem_out
+    dx, d_stem = conv2d_backward(cache.x, params.stem, dh, 1)
     return dx, BackendParams(d_stem, d_blocks, d_fc_w, d_fc_b)

@@ -94,16 +94,18 @@ class ExciteCache:
 
 
 def excite_forward(
-    x: np.ndarray, params: ExcitationParams, keep_cache: bool = True
+    x: np.ndarray, params: ExcitationParams, keep_cache: bool = True, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, Optional[ExciteCache]]:
     """Scale each channel of x (N, C, W, H) by its predicted weight in (0, 1).
 
     The cache is None when ``keep_cache`` is False, so nothing holds on to x.
+    The scaled x goes into ``out`` when given, as in `np.multiply`; an array
+    of the result's dtype, x itself included, gets the same bits as a new one.
     """
     if x.ndim != 4 or x.shape[1] != params.n_channels:
         raise ValueError(f"expected (N, {params.n_channels}, W, H) input, got {x.shape}")
     pooled, scales, hidden = bottleneck_weights(x, params)
-    y = x * scales[:, :, None, None]
+    y = np.multiply(x, scales[:, :, None, None], out=out)
     return y, ExciteCache(x, pooled, hidden, scales, params) if keep_cache else None
 
 

@@ -131,7 +131,12 @@ def model_forward(
 
 
 def model_backward(cache: ModelCache, d_logits: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logit gradients -> input-stack gradient plus gradients parallel to `model_params`."""
+    """Logit gradients -> input-stack gradient plus gradients parallel to `model_params`.
+
+    Consumes the cache: backward frees each activation after its last read,
+    so a second call on the same cache raises ValueError. d_logits is only
+    read.
+    """
     d_weighted, backend_grads = backend_backward(cache.backend, d_logits)
     d_stacks, predictor_grads = excite_backward(cache.excite, d_weighted)
     return d_stacks, [arr for _, arr in named_params(predictor_grads, backend_grads)]

@@ -15,7 +15,7 @@ from multires.backend import (
     conv2d_backward,
     conv2d_forward,
     init_backend,
-    relu,
+    relu_in_place,
 )
 from multires.model import fresh_weights
 
@@ -176,11 +176,11 @@ def test_conv_rejects_even_kernel():
 
 
 def test_relu_subgradient_at_zero_is_zero():
-    x = np.array([-1.0, 0.0, 2.0])
-    assert (relu(x) == [0.0, 0.0, 2.0]).all()
-    # backward masks strictly positive inputs, so d/dx at 0 is 0
-    mask = x > 0
-    assert mask.tolist() == [False, False, True]
+    z = np.array([-1.0, 0.0, 2.0])
+    assert relu_in_place(z) is z  # written over its input, which the stem and conv1 own
+    assert (z == [0.0, 0.0, 2.0]).all()
+    # backward masks strictly positive outputs, so d/dz at 0 is 0
+    assert (z > 0).tolist() == [False, False, True]
 
 
 def _make_block(c_in, c_out, stride, seed):
@@ -224,9 +224,9 @@ def test_block_forward_composition():
     p = _make_block(2, 2, 1, seed=13)
     x = np.random.default_rng(14).standard_normal((1, 2, 4, 4))
     y, _ = block_forward(x, p)
-    inner = relu(conv2d_forward(x, p.conv1))
+    inner = relu_in_place(conv2d_forward(x, p.conv1))
     se_out, _ = excite_forward(conv2d_forward(inner, p.conv2), p.se)
-    np.testing.assert_allclose(y, relu(se_out + x), atol=1e-12)
+    np.testing.assert_allclose(y, relu_in_place(se_out + x), atol=1e-12)
 
 
 def test_block_backward_finite_differences():
@@ -236,7 +236,7 @@ def test_block_backward_finite_differences():
         x = rng.standard_normal((2, c_in, 4, 5))
         y, cache = block_forward(x, p)
         dy = rng.standard_normal(y.shape)
-        dx, grads = block_backward(cache, dy)
+        dx, grads = block_backward(cache, dy.copy())  # it takes over its dout
 
         def loss():
             out, _ = block_forward(x, p)

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from multires.backend import BackendConfig
+from multires.backend import BackendConfig, backend_backward, block_backward
 from multires.excitation import init_excitation
 from multires.model import (
     MAGIC,
@@ -19,6 +19,7 @@ from multires.model import (
     save_checkpoint,
 )
 from multires.stft import ResolutionSpec
+from multires.trainer import cross_entropy_batch
 from multires.weighting import hidden_width
 
 from helpers import traced_peak
@@ -93,6 +94,24 @@ def test_forward_keeps_each_activation_once():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_step_peak_near_its_cache(dtype):
+    # backward frees each block's activations once its backward returns and
+    # masks gradients in place, so a whole step peaks little above the cache
+    # its forward keeps (about 1.05x here), not at twice it
+    model = init_model(RES, BackendConfig(8, 3, 1, 4), np.random.default_rng(5), dtype)
+    x = np.random.default_rng(6).standard_normal((4, 3, 64, 65)).astype(dtype)
+
+    def step():
+        logits, cache = model_forward(x, model)
+        _, d_logits = cross_entropy_batch(logits, np.arange(4) % 2)
+        return model_backward(cache, d_logits)
+
+    cached = traced_peak(lambda: model_forward(x, model))
+    peak = traced_peak(step)
+    assert peak <= 1.3 * cached, f"step peak {peak / cached:.2f}x the cached forward's"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_logits_with_and_without_cache_are_bitwise_equal(dtype):
     model = init_model(RES, CFG, np.random.default_rng(7), dtype)
     for n in (1, 5):
@@ -102,6 +121,27 @@ def test_logits_with_and_without_cache_are_bitwise_equal(dtype):
         assert cache is not None and none is None
         assert kept.dtype == scored.dtype == dtype
         np.testing.assert_array_equal(kept, scored)
+
+
+def test_backward_consumes_its_cache():
+    # backward lets go of each activation at its last read, so one cache
+    # serves one backward; another is refused, not run on emptied caches
+    model = init_model(RES, CFG, np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal((2, 3, 6, 5))
+    logits, cache = model_forward(x, model)
+    d_logits = np.ones_like(logits)
+    model_backward(cache, d_logits)
+    with pytest.raises(ValueError, match="consumed"):
+        model_backward(cache, d_logits)
+    with pytest.raises(ValueError, match="consumed"):
+        backend_backward(cache.backend, d_logits)
+
+    _, cache = model_forward(x, model)
+    block = cache.backend.blocks[-1]
+    dout = np.ones_like(block.out)
+    block_backward(block, dout.copy())
+    with pytest.raises(ValueError, match="consumed"):
+        block_backward(block, dout)
 
 
 def test_end_to_end_gradients_match_finite_differences():
