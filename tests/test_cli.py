@@ -22,6 +22,23 @@ if __name__ == "__main__":
     sys.exit({attr}())
 """
 
+# A float64 32->32 conv at 32x33, the first layer whose bits moved with the
+# OpenBLAS thread count in a toy-shaped step. `multires` is imported before
+# numpy, as the console script and `python -m multires` do.
+PINNED_CONV = """
+import hashlib, os
+import multires
+import numpy as np
+from multires.backend import ConvParams, conv2d_forward
+rng = np.random.default_rng(0)
+x = rng.standard_normal((2, 32, 32, 33))
+p = ConvParams(rng.standard_normal((32, 32, 3, 3)), rng.standard_normal(32))
+print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+print(hashlib.sha256(conv2d_forward(x, p).tobytes()).hexdigest())
+"""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -248,3 +265,23 @@ def test_console_script_and_module_entry(workspace, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "gen-data" in done.stdout
+
+
+@pytest.mark.skipif(CPUS < 2, reason="on one CPU OpenBLAS runs one thread either way, so nothing is compared")
+def test_package_pins_blas_to_one_thread():
+    """Unset thread variables give the bytes of one BLAS thread; a set one is kept."""
+    src_dir = str(Path(multires.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+
+    def conv(**thread_vars):
+        done = subprocess.run(
+            [sys.executable, "-c", PINNED_CONV], capture_output=True, text=True, env=dict(env, **thread_vars)
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    (unset_vars, unset), (_, pinned) = conv(), conv(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    assert unset == pinned, "conv bytes with the thread variables unset differ from one thread's"
+    assert unset_vars == "1 1"
+    assert conv(OPENBLAS_NUM_THREADS="2")[0] == "2 None"

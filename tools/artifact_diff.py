@@ -1,6 +1,7 @@
 """Run the CLI pipeline in the working tree and at a git revision, and diff every byte.
 
     python3 tools/artifact_diff.py [REV] [--work DIR]
+    python3 tools/artifact_diff.py --cpus [--work DIR]
 
 REV defaults to HEAD. Its committed tree is exported with `git archive`
 into the work directory (default: a temporary directory, removed at the
@@ -17,6 +18,12 @@ convs cut them into several column blocks. Every file a run writes and
 every command's stdout and exit code are hashed (sha256, read in 1 MiB
 chunks). The script prints each name whose hash differs or that only one
 tree has, and exits 1 on any difference, 0 when all four runs match.
+
+With `--cpus` no revision is exported: the working tree runs the pipeline
+twice, once with every command pinned to one CPU (`os.sched_setaffinity` in
+the child before it starts) and once on all the CPUs this process may use,
+and the two runs are diffed the same way. Scoring splits its work over one
+process per CPU, so this checks that the bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -91,8 +98,11 @@ def export_rev(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_pipeline(tree: Path, run_dir: Path, dtype: str, target: str) -> dict[str, str]:
-    """Hash of every file the pipeline writes under `run_dir` and of each command's output."""
+def run_pipeline(tree: Path, run_dir: Path, dtype: str, target: str, preexec_fn=None) -> dict[str, str]:
+    """Hash of every file the pipeline writes under `run_dir` and of each command's output.
+
+    `preexec_fn` runs in each command's process before it starts.
+    """
     run_dir.mkdir(parents=True)
     (run_dir / "run.cfg").write_text(
         CONFIG + f"train.dtype = {dtype}\nalignment.target = {target}\n", encoding="utf-8"
@@ -102,7 +112,7 @@ def run_pipeline(tree: Path, run_dir: Path, dtype: str, target: str) -> dict[str
     for command in COMMANDS:
         done = subprocess.run(
             [sys.executable, "-m", "multires", "--config", "run.cfg", *command],
-            cwd=run_dir, env=env, capture_output=True,
+            cwd=run_dir, env=env, capture_output=True, preexec_fn=preexec_fn,
         )
         if done.returncode != 0:
             sys.exit(f"{tree}: `multires {' '.join(command)}` exited {done.returncode}:\n{done.stderr.decode()}")
@@ -115,28 +125,45 @@ def run_pipeline(tree: Path, run_dir: Path, dtype: str, target: str) -> dict[str
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("rev", nargs="?", default="HEAD", help="revision to compare against (default HEAD)")
+    parser.add_argument("rev", nargs="?", help="revision to compare against (default HEAD)")
+    parser.add_argument("--cpus", action="store_true",
+                        help="compare the working tree on one CPU and on all CPUs instead of against a revision")
     parser.add_argument("--work", type=Path, help="work directory, kept afterwards (default: a removed temp dir)")
     args = parser.parse_args(argv)
+    if args.cpus:
+        cpus = sorted(os.sched_getaffinity(0))
+        if args.rev is not None or len(cpus) < 2:
+            parser.error("--cpus takes no revision and needs at least 2 CPUs")
+    args.rev = args.rev or "HEAD"
     work = args.work or Path(tempfile.mkdtemp(prefix="artifact_diff_"))
+    # (label, source tree, preexec_fn of each command), the reference run first
+    if args.cpus:
+        sides = [("one CPU", ROOT, lambda: os.sched_setaffinity(0, cpus[:1])), (f"{len(cpus)} CPUs", ROOT, None)]
+    else:
+        sides = [("rev", work / "rev", None), ("tree", ROOT, None)]
     try:
-        base = work / "rev"
-        export_rev(args.rev, base)
+        if not args.cpus:
+            export_rev(args.rev, work / "rev")
         differ = False
         for dtype, target in VARIANTS:
             name = f"{dtype}_{target}"
-            want = run_pipeline(base, work / "runs" / "rev" / name, dtype, target)
-            got = run_pipeline(ROOT, work / "runs" / "tree" / name, dtype, target)
+            want, got = [
+                run_pipeline(tree, work / "runs" / label.replace(" ", "_") / name, dtype, target, preexec_fn)
+                for label, tree, preexec_fn in sides
+            ]
             bad = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
             differ |= bool(bad)
             for key in bad:
-                where = "differs" if key in want and key in got else f"only in {'rev' if key in want else 'tree'}"
+                where = "differs" if key in want and key in got else f"only in {sides[key in got][0]}"
                 print(f"{name}: {key} {where}")
             print(f"{name}: {len(want) - len(bad)} of {len(want.keys() | got.keys())} hashes identical")
     finally:
         if args.work is None:
             shutil.rmtree(work)
-    print(f"artifacts {'DIFFER from' if differ else 'identical to'} {args.rev}")
+    if args.cpus:
+        print(f"artifacts {'DIFFER' if differ else 'identical'} between {sides[0][0]} and {sides[1][0]}")
+    else:
+        print(f"artifacts {'DIFFER from' if differ else 'identical to'} {args.rev}")
     return 1 if differ else 0
 
 
