@@ -19,9 +19,11 @@ The header alone fixes the file size, so `read_cache` checks it against the
 file before it reads the table, and reads no payload at all.  A split's rows
 come from one `CacheRows`, which builds each utterance when it is indexed:
 `read_cache` reads it from the file, and `pipeline.extract_split` extracts it
-from the utterance's WAV, so `write_cache` streams freshly extracted rows to
-disk without holding the split.  Version 1 interleaved the ids with the
-payload and can no longer be read.
+from the utterance's WAV.  `write_cache` sizes the file from the header and
+hands the rows to `parallel.run_shares`: each process (one per CPU) builds
+its contiguous share of rows one at a time and writes each at its own
+offset, so no process holds the split.  Version 1 interleaved the ids with
+the payload and can no longer be read.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from .parallel import run_shares
 from .signal_io import atomic_write
 from .stft import ResolutionSpec
 
@@ -123,16 +126,27 @@ class FeatureCache:
         return self.stacks.shape[0]
 
 
-def write_cache(cache: FeatureCache, path: str | Path) -> None:
-    """Stream the cache to `path` through `atomic_write`.
+def _pwrite_row(fd: int, row: np.ndarray, offset: int) -> None:
+    view = memoryview(row.reshape(-1).view(np.uint8))
+    done = 0
+    while done < len(view):
+        done += os.pwrite(fd, view[done:], offset + done)
 
-    The table is built first; then each utterance's row is read from
-    `stacks` (and so, for a split being extracted, computed) and written
-    before the next, so no copy of the split is held. A failure
-    part-way removes the temp file and leaves any earlier file at `path` as
-    it was.
+
+def write_cache(cache: FeatureCache, path: str | Path) -> None:
+    """Write the cache to `path` through `atomic_write`, its rows on every CPU.
+
+    The header and table are written and the file is sized to hold the
+    payload. `parallel.run_shares` then cuts the rows into one contiguous
+    share per CPU: each process reads its rows from `stacks` one at a time
+    (and so, for a split being extracted, computes them) and ``os.pwrite``s
+    each at its own offset, so no process holds a copy of the split and the
+    bytes do not depend on the number of processes. A failing row raises
+    its error as it would serially; the temp file is then removed and any
+    earlier file at `path` is left as it was.
     """
     n, m, w, h = cache.stacks.shape
+    row_bytes = _ROW_DTYPE.itemsize * m * w * h
     table = bytearray()
     for utt_id, label in zip(cache.ids, cache.labels):
         raw_id = utt_id.encode("utf-8")
@@ -145,8 +159,15 @@ def write_cache(cache: FeatureCache, path: str | Path) -> None:
             f.write(struct.pack("<II", res.window_len, res.hop_len))
         f.write(_DIMS.pack(w, h, n, len(table)))
         f.write(table)
-        for i in range(n):
-            f.write(cache.stacks[i : i + 1])
+        f.flush()
+        fd, offset = f.fileno(), f.tell()
+        os.ftruncate(fd, offset + n * row_bytes)
+
+        def write_rows(start: int, stop: int) -> None:
+            for i in range(start, stop):
+                _pwrite_row(fd, cache.stacks[i : i + 1], offset + i * row_bytes)
+
+        run_shares(n, write_rows)
 
 
 def _pread_exact(fd: int, size: int, offset: int, what: str) -> bytes:

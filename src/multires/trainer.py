@@ -6,20 +6,17 @@ from generators seeded by (config.seed, epoch), batches are consecutive
 slices of the permutation, and gradients are reduced in a fixed order, so
 identical seeds reproduce logs and checkpoints byte for byte.
 
-Scoring (`score_cache`, and so every dev pass and eval) is split across
-processes, one per CPU: each scores a contiguous share of the split's
-chunks and holds one chunk's activations. The bits do not depend on the
-split, so they are the same on any number of CPUs.
+Scoring (`score_cache`, and so every dev pass and eval) runs on every CPU
+through `parallel.run_shares`, the runner that also writes each extracted
+cache: each process scores a contiguous share of the split's chunks and
+holds one chunk's activations. The bits do not depend on the split, so
+they are the same on any number of CPUs. Training steps run in one process.
 """
 
 from __future__ import annotations
 
 import copy
 import mmap
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +31,7 @@ from .model import (
     model_forward,
     model_params,
 )
+from .parallel import run_shares
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
@@ -141,18 +139,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: Optimize
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def _score_workers() -> int:
-    """Processes `score_cache` may spread a split over: one per CPU it may use.
-
-    One while other threads run, since a forked child keeps only the thread
-    that forked (and Python 3.12+ warns about such a fork), and one where
-    the OS cannot say which CPUs this process may run on.
-    """
-    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _score_rows(model: Model, cache: FeatureCache, start: int, stop: int, scores: np.ndarray) -> None:
     """scores[start:stop], one `SCORE_BATCH`-row forward at a time from `start`."""
     dtype = model.backend.fc_weight.dtype
@@ -160,51 +146,6 @@ def _score_rows(model: Model, cache: FeatureCache, start: int, stop: int, scores
         chunk = cache.stacks[first : min(first + SCORE_BATCH, stop)].astype(dtype, copy=False)
         logits, _ = model_forward(chunk, model, keep_cache=False)
         scores[first : first + chunk.shape[0]] = (logits[:, 1] - logits[:, 0]).astype(np.float64)
-
-
-def _fork_scorer(model: Model, cache: FeatureCache, start: int, stop: int, scores: np.ndarray) -> tuple[int, int]:
-    """Fork a child that fills the shared scores[start:stop] and exits.
-
-    Returns its pid and the read end of a pipe that carries the pickled
-    exception if the child fails, and nothing if it succeeds.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:
-        os.close(read_fd)
-        _score_rows(model, cache, start, stop, scores)
-        status = 0
-    except BaseException as exc:
-        try:
-            payload = pickle.dumps(exc)
-            pickle.loads(payload)
-        except Exception:
-            payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        try:
-            with open(write_fd, "wb", closefd=False) as pipe:
-                pipe.write(payload)
-        except OSError:  # the parent stopped reading: it failed first and is killing its children
-            pass
-    finally:
-        os._exit(status)
-
-
-def _scorer_error(pid: int, payload: bytes, status: int) -> BaseException | None:
-    """The exception a reaped scorer ended with, from its pipe and wait status, or None."""
-    if payload:
-        return pickle.loads(payload)
-    if status:
-        return RuntimeError(f"scoring process {pid} ended with wait status {status}")
-    return None
 
 
 def score_cache(model: Model, cache: FeatureCache) -> np.ndarray:
@@ -217,47 +158,21 @@ def score_cache(model: Model, cache: FeatureCache) -> np.ndarray:
     computed in (per-example conv blocks, einsum gates and head), so
     `SCORE_BATCH` sets memory, not output.
 
-    The chunks are cut into up to one contiguous share per CPU
-    (`_score_workers`). This process scores the first share; a forked child
-    scores each other share into a shared float64 buffer, so each process
-    holds one chunk's activations. The chunks and their forwards are the
-    serial ones, so the scores are bitwise the same at any process count.
-    Every child is reaped before this returns, also when a share fails; the
-    error of the first failing share is raised, as it would be serially.
+    `parallel.run_shares` cuts the chunks into up to one contiguous share
+    per CPU: this process scores the first share and a forked child each
+    other one, into a shared float64 buffer, so each process holds one
+    chunk's activations. The chunks and their forwards are the serial ones,
+    so the scores are bitwise the same at any process count, and a failing
+    row raises its error as it would serially.
     """
     n = cache.n_utterances
-    n_chunks = -(-n // SCORE_BATCH)
-    workers = min(_score_workers(), n_chunks)
-    if workers <= 1:
-        scores = np.empty(n, dtype=np.float64)
-        _score_rows(model, cache, 0, n, scores)
-        return scores
-    bounds = [min(n, share * n_chunks // workers * SCORE_BATCH) for share in range(workers + 1)]
-    shared = np.frombuffer(mmap.mmap(-1, n * np.dtype(np.float64).itemsize), dtype=np.float64)
-    children: dict[int, int] = {}  # pid -> read end of its error pipe, until reaped
-    try:
-        for share in range(1, workers):
-            pid, read_fd = _fork_scorer(model, cache, bounds[share], bounds[share + 1], shared)
-            children[pid] = read_fd
-        _score_rows(model, cache, 0, bounds[1], shared)
-        errors = []
-        for pid, read_fd in list(children.items()):
-            with open(read_fd, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            os.close(read_fd)
-            errors.append(_scorer_error(pid, payload, status))
-        failed = next((error for error in errors if error is not None), None)
-        if failed is not None:
-            raise failed
-        scores = shared.copy()
-    finally:
-        for pid, read_fd in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
-    return scores
+    scores = np.frombuffer(mmap.mmap(-1, max(n, 1) * np.dtype(np.float64).itemsize), dtype=np.float64)[:n]
+
+    def score_chunks(first: int, last: int) -> None:
+        _score_rows(model, cache, first * SCORE_BATCH, min(n, last * SCORE_BATCH), scores)
+
+    run_shares(-(-n // SCORE_BATCH), score_chunks)
+    return scores.copy()
 
 
 @dataclass

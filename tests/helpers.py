@@ -2,12 +2,14 @@
 
 `toy_config` is the shipped `configs/toy.cfg`, so the acceptance run checks
 the file users run. `MICRO` is a seconds-long pipeline config for the CLI
-and pipeline tests. `array_rows` wraps an array as `FeatureCache` rows, and
-`traced_peak` measures the memory one call allocates.
+and pipeline tests. `array_rows` wraps an array as `FeatureCache` rows,
+`traced_peak` measures the memory one call allocates, and `counting_forks`
+records the children `parallel.run_shares` forks.
 """
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -82,3 +84,17 @@ def traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """Record each `os.fork` that returns in this process (the parent side)."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks

@@ -1,10 +1,14 @@
 import dataclasses
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multires import pipeline
+from multires import parallel, pipeline
 from multires.config import parse_config
 from multires.pipeline import (
     PipelineError,
@@ -164,10 +168,11 @@ def test_extract_split_rejects_non_finite_features(run_dir, monkeypatch):
 
 
 def test_failed_extract_leaves_no_cache_and_keeps_the_earlier_one(run_dir, tmp_path, monkeypatch):
-    # rows are extracted while write_cache streams them, so a bad utterance
-    # partway through the split aborts the atomic write
+    # rows are extracted while write_cache writes them, so a bad utterance
+    # partway through the split aborts the atomic write; at two workers this
+    # process extracts rows 0-2 and a forked child rows 3-5, and only this
+    # process's calls are counted
     _, config = run_dir
-    config = dataclasses.replace(config, cache_dir=tmp_path)
     m = len(config.resolutions)
     calls = []
 
@@ -178,7 +183,7 @@ def test_failed_extract_leaves_no_cache_and_keeps_the_earlier_one(run_dir, tmp_p
         calls.append(out.shape)
         return out
 
-    def extract_poisoned():
+    def extract_poisoned(config):
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "log_magnitude", poisoned)
@@ -186,44 +191,70 @@ def test_failed_extract_leaves_no_cache_and_keeps_the_earlier_one(run_dir, tmp_p
                 run_extract(config, splits=("train",))
         assert len(calls) == 3 * m  # utterances 0 and 1, then all of utterance 2's maps
 
-    extract_poisoned()
-    assert list(tmp_path.iterdir()) == []
-    path = run_extract(config, splits=("train",))["train"]
-    before = path.read_bytes()
-    extract_poisoned()
-    assert list(tmp_path.iterdir()) == [path]
-    assert path.read_bytes() == before
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        cache_dir = tmp_path / f"workers{workers}"
+        config = dataclasses.replace(config, cache_dir=cache_dir)
+        extract_poisoned(config)
+        assert list(cache_dir.iterdir()) == []
+        path = run_extract(config, splits=("train",))["train"]
+        before = path.read_bytes()
+        extract_poisoned(config)
+        assert list(cache_dir.iterdir()) == [path]
+        assert path.read_bytes() == before
 
 
-def test_extract_to_disk_peak_does_not_grow_with_utterances(tmp_path):
-    # each utterance is extracted and written before the next, so a split of
-    # 32 peaks no higher than a split of 4, far below 28 more rows
+def test_extract_to_disk_peak_does_not_grow_with_utterances(tmp_path, monkeypatch):
+    # each process extracts and writes one utterance of its share before the
+    # next, so a split of 32 peaks no higher in this process than a split of
+    # 4, far below 28 more rows, at one worker and at two
     config = micro_config(tmp_path, **{"corpus.n_train": "32", "alignment.target": "128x129"})
     run_gen_data(config)
     row_bytes = 4 * len(config.resolutions) * 128 * 129
     run_extract(config, splits=("dev",))  # fills one-time lazy state
-    peaks = {
-        split: traced_peak(lambda: run_extract(config, splits=(split,)))
-        for split in ("dev", "train")
-    }
-    assert load_split_cache(config, "train").n_utterances == 32
-    assert load_split_cache(config, "dev").n_utterances == 4
-    assert peaks["train"] - peaks["dev"] < row_bytes, peaks
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        peaks = {
+            split: traced_peak(lambda: run_extract(config, splits=(split,)))
+            for split in ("dev", "train")
+        }
+        assert load_split_cache(config, "train").n_utterances == 32
+        assert load_split_cache(config, "dev").n_utterances == 4
+        assert peaks["train"] - peaks["dev"] < row_bytes, (workers, peaks)
+
+
+# Runs in a fresh interpreter: tracemalloc counts a rebuild of the process's
+# table of interned strings, which grows with every test run before and was
+# seen to add 1.9 MB to a run late in the suite.
+RECROP_PEAK = """
+import json
+import sys
+from pathlib import Path
+from helpers import micro_config, traced_peak
+from multires.pipeline import run_train
+config = micro_config(Path(sys.argv[1]), **json.loads(sys.argv[2]))
+run_train(config)  # fills one-time lazy state
+print(traced_peak(lambda: run_train(config)))
+"""
 
 
 def test_recropping_train_holds_batches_not_the_split(tmp_path):
     # each epoch after the first recrops the train split; its rows are
     # extracted a batch at a time, so training never holds the split
-    config = micro_config(
-        tmp_path,
-        **{"corpus.n_train": "512", "train.epochs": "2", "train.dtype": "float32"},
-    )
+    overrides = {"corpus.n_train": "512", "train.epochs": "2", "train.dtype": "float32"}
+    config = micro_config(tmp_path, **overrides)
     run_gen_data(config)
     run_extract(config)
     assert _needs_recrop(config)
-    run_train(config)  # fills one-time lazy state
     payload = load_split_cache(config, "train").n_utterances * 4 * len(config.resolutions) * 16 * 17
-    peak = traced_peak(lambda: run_train(config))
+    tests_dir = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    done = subprocess.run(
+        [sys.executable, "-c", RECROP_PEAK, str(tmp_path), json.dumps(overrides)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    peak = int(done.stdout)
     assert peak < payload, f"peak {peak} B for a {payload} B split"
 
 

@@ -6,7 +6,7 @@ import signal
 import numpy as np
 import pytest
 
-from multires import pipeline, trainer
+from multires import parallel, pipeline, trainer
 from multires.backend import BackendConfig
 from multires.cache import CacheRows, FeatureCache, read_cache, write_cache
 from multires.model import init_model, model_backward, model_forward, model_params
@@ -23,7 +23,7 @@ from multires.trainer import (
 )
 
 from oracles import adam_trace, central_difference
-from helpers import array_rows, micro_config, traced_peak
+from helpers import array_rows, counting_forks, traced_peak
 
 RES = (ResolutionSpec(64, 16), ResolutionSpec(128, 32))
 SLIM = BackendConfig(stem_channels=4, stages=1, blocks_per_stage=1, se_reduction=2)
@@ -246,29 +246,6 @@ def test_score_cache_keeps_no_backward_cache():
     assert scoring <= 0.28 * cached, f"scoring peak {scoring / cached:.2f}x the cached forward's"
 
 
-@pytest.fixture(scope="module")
-def micro_eval(tmp_path_factory):
-    """A 7-utterance eval split of the micro corpus, extracted and on disk."""
-    config = micro_config(tmp_path_factory.mktemp("score"), **{"corpus.n_eval": "7"})
-    pipeline.run_gen_data(config)
-    pipeline.run_extract(config, ("eval",))
-    return config
-
-
-def _counting_forks(monkeypatch) -> list[int]:
-    """Record each `os.fork` that returns in this process (the parent side)."""
-    forks, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_score_cache_bitwise_at_any_worker_count(micro_eval, monkeypatch, dtype):
     # shares of contiguous chunks, scored in forked children, give the bytes
@@ -281,16 +258,16 @@ def test_score_cache_bitwise_at_any_worker_count(micro_eval, monkeypatch, dtype)
         "read": pipeline.load_split_cache(config, "eval"),
     }
     assert sources["read"].n_utterances == 7
-    forks = _counting_forks(monkeypatch)
+    forks = counting_forks(monkeypatch)
     for batch in (1, 2, 3):
         monkeypatch.setattr(trainer, "SCORE_BATCH", batch)
         n_chunks = -(-7 // batch)
         for name, cache in sources.items():
-            monkeypatch.setattr(trainer, "_score_workers", lambda: 1)
+            monkeypatch.setattr(parallel, "workers", lambda: 1)
             want = score_cache(model, cache)
             assert forks == []
             for workers in (2, 5):
-                monkeypatch.setattr(trainer, "_score_workers", lambda: workers)
+                monkeypatch.setattr(parallel, "workers", lambda: workers)
                 got = score_cache(model, cache)
                 assert got.tobytes() == want.tobytes(), (name, batch, workers)
                 assert len(forks) == min(workers, n_chunks) - 1
@@ -319,8 +296,8 @@ def test_score_cache_failure_raises_and_reaps(micro_eval, monkeypatch):
     model = init_model(config.resolutions, config.backend, np.random.default_rng(4))
     cache = pipeline.load_split_cache(config, "eval")
     monkeypatch.setattr(trainer, "SCORE_BATCH", 1)
-    monkeypatch.setattr(trainer, "_score_workers", lambda: 2)  # shares rows 0-2 and 3-6
-    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(parallel, "workers", lambda: 2)  # shares rows 0-2 and 3-6
+    forks = counting_forks(monkeypatch)
     message = "eval utterance {!r} has non-finite features".format
     for rows in ((5,), (1,), (1, 5), (5, 6)):
         failing = _failing_rows(cache, {row: message(cache.ids[row]) for row in rows})
@@ -338,7 +315,7 @@ def test_score_cache_failure_raises_and_reaps(micro_eval, monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         out[...] = 0.0
 
-    with pytest.raises(RuntimeError, match="scoring process .* ended with wait status"):
+    with pytest.raises(RuntimeError, match="forked process .* ended with wait status"):
         score_cache(model, FeatureCache(cache.resolutions, CacheRows(cache.stacks.shape, killed), cache.ids, cache.labels))
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
