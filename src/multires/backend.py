@@ -22,7 +22,10 @@ into the block's rows of y, so it holds no input- or output-sized
 temporary (Anderson et al., "Low-memory GEMM-based convolution algorithms
 for deep neural networks", 2017). Backward refills the slabs from x and runs
 the same per-tap GEMMs for d_weight and for the input gradient, which adds
-up in a rolling slab and is copied onto dx row by row.
+up in a rolling slab and is copied onto dx row by row. The d_weight
+products of each block and the d_bias sums of each example are returned as
+gradient terms (`reduction`), summed over the batch only once every share
+of it has run.
 Activations stay (N, C, W, H) between calls.
 
 Every forward takes ``keep_cache``. A training forward keeps the backward
@@ -58,6 +61,7 @@ from .excitation import (
     excite_forward,
     init_excitation,
 )
+from .reduction import Outer, RowSum, TapSum
 
 
 # The head's two logits, [spoof, bona fide]: what cross-entropy and scoring read.
@@ -294,12 +298,14 @@ def conv2d_forward(x: np.ndarray, p: ConvParams, stride: int = 1) -> np.ndarray:
 def conv2d_backward(
     x: np.ndarray, p: ConvParams, dy: np.ndarray, stride: int = 1
 ) -> tuple[np.ndarray, ConvParams]:
-    """Gradients w.r.t. input and parameters; refills the slabs from x rather than caching them.
+    """Gradient w.r.t. input, plus the parameters' gradient terms; refills the slabs from x.
 
     Each block's input-gradient products add into a slab of grid rows
     [a0, a1 + halo). Rows below a1 get nothing from later blocks, so they go
     straight onto dx; the halo rows carry over to the next block of the same
-    example, and a new example starts from zeros.
+    example, and a new example starts from zeros. The weight's term keeps
+    each block's tap products and the bias's term each example's sum of
+    dy; `reduction.reduce_grads` adds them up in block and example order.
     """
     _check_input(x, p)
     lay = _tap_layout(*x.shape[2:], p.weight.shape[2], stride)
@@ -318,18 +324,16 @@ def conv2d_backward(
     d_grid = d_slab.reshape(slab.shape[:2] + (-1, lay.hq))
     d_out = np.zeros((c_out, per, lay.hq), dtype=dtype)  # columns past H' stay zero
     tmp = np.empty((c_in, per * lay.hq), dtype=dtype)
-    dw_taps = np.zeros_like(w_taps)
-    dw_part = np.empty((c_out, c_in), dtype=dtype)
+    dw_parts = np.empty((len(blocks),) + w_taps.shape, dtype=dtype)
     dx = np.zeros(x.shape, dtype=dtype)
-    for n, a0, a1 in blocks:
+    for b, (n, a0, a1) in enumerate(blocks):
         rows, cols = a1 - a0, (a1 - a0) * lay.hq
         lay.fill(slab, x[n], a0, a1 + lay.halo)
         d_out[:, :rows, : lay.ho] = dy[n, :, a0:a1]
         d_cols, part = d_out[:, :rows].reshape(c_out, cols), tmp[:, :cols]
         for i, j, ph, off in lay.taps:
             span = slice(off, off + cols)
-            np.matmul(d_cols, slab[:, ph, span].T, out=dw_part)
-            dw_taps[i, j] += dw_part
+            np.matmul(d_cols, slab[:, ph, span].T, out=dw_parts[b, i, j])
             np.matmul(w_taps[i, j].T, d_cols, out=part)
             d_slab[:, ph, span] += part
         if a1 < lay.wo:
@@ -339,9 +343,7 @@ def conv2d_backward(
         else:
             lay.drain(d_slab, dx[n], a0, lay.wq)
             d_grid[:, :, : rows + lay.halo] = 0
-    d_weight = np.ascontiguousarray(dw_taps.transpose(2, 3, 0, 1))
-    d_bias = dy.sum(axis=(0, 2, 3)).astype(p.bias.dtype, copy=False)
-    return dx, ConvParams(d_weight, d_bias)
+    return dx, ConvParams(TapSum(dw_parts), RowSum(dy.sum(axis=(2, 3))))
 
 
 def relu_in_place(z: np.ndarray) -> np.ndarray:
@@ -464,8 +466,8 @@ def backend_backward(cache: BackendCache, d_logits: np.ndarray) -> tuple[np.ndar
         raise ValueError("backend cache was consumed by an earlier backward pass")
     params = cache.params
     stem_out = blocks[0].x
-    d_fc_w = d_logits.T @ cache.pooled
-    d_fc_b = d_logits.sum(axis=0)
+    d_fc_w = Outer(d_logits, cache.pooled)
+    d_fc_b = RowSum(d_logits)
     d_pooled = d_logits @ params.fc_weight
     shape = blocks[-1].out.shape
     dh = np.broadcast_to(d_pooled[:, :, None, None] / (shape[2] * shape[3]), shape).copy()

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .reduction import Outer, RowSum
 
 @dataclass
 class ExcitationParams:
@@ -110,23 +111,20 @@ def excite_forward(
 
 
 def excite_backward(cache: ExciteCache, dy: np.ndarray) -> tuple[np.ndarray, ExcitationParams]:
-    """Gradients w.r.t. x and the bottleneck parameters.
+    """Gradient w.r.t. x, plus the bottleneck parameters' gradient terms.
 
     dx has two terms: the direct scaling path and the pooled path through
-    the predictor (broadcast back over the spatial axes).
+    the predictor (broadcast back over the spatial axes). The parameters'
+    sums and products over the batch are left to `reduction.reduce_grads`.
     """
     x, s, p = cache.x, cache.scales, cache.params
     spatial = x.shape[2] * x.shape[3]
 
     d_scales = np.einsum("ncwh,ncwh->nc", dy, x)
     dz = d_scales * s * (1.0 - s)
-    d_fc2_b = dz.sum(axis=0)
-    d_fc2_w = dz.T @ cache.hidden
     dr = dz @ p.fc2_weight
     da = dr * (cache.hidden > 0)
-    d_fc1_b = da.sum(axis=0)
-    d_fc1_w = da.T @ cache.pooled
     d_pooled = da @ p.fc1_weight
 
     dx = dy * s[:, :, None, None] + d_pooled[:, :, None, None] / spatial
-    return dx, ExcitationParams(d_fc1_w, d_fc1_b, d_fc2_w, d_fc2_b)
+    return dx, ExcitationParams(Outer(da, cache.pooled), RowSum(da), Outer(dz, cache.hidden), RowSum(dz))

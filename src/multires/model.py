@@ -10,8 +10,9 @@ parameter as float64 little-endian in one fixed traversal order:
     head fc w, b
 
 `named_params` is that one traversal. The checkpoint, the optimizer, the
-flat gradient list that `model_backward` returns and the diagnostic names all
-derive from it, so they agree on parameter order by construction. A model of
+flat list of gradient terms that `model_backward` returns and the
+diagnostic names all derive from it, so they agree on parameter order by
+construction. A model of
 any dtype is saved as float64, and `load_checkpoint` narrows to the dtype the
 caller asks for.
 
@@ -44,6 +45,7 @@ from .backend import (
     init_backend,
 )
 from .excitation import ExcitationParams, ExciteCache, excite_backward, excite_forward, init_excitation
+from .reduction import Term
 from .signal_io import atomic_write
 from .stft import ResolutionSpec
 from .weighting import hidden_width
@@ -130,12 +132,14 @@ def model_forward(
     return logits, ModelCache(ec, bc) if keep_cache else None
 
 
-def model_backward(cache: ModelCache, d_logits: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logit gradients -> input-stack gradient plus gradients parallel to `model_params`.
+def model_backward(cache: ModelCache, d_logits: np.ndarray) -> tuple[np.ndarray, list[Term]]:
+    """Logit gradients -> input-stack gradient plus gradient terms parallel to `model_params`.
 
-    Consumes the cache: backward frees each activation after its last read,
-    so a second call on the same cache raises ValueError. d_logits is only
-    read.
+    `reduction.reduce_grads([terms])` gives the batch's gradients; the terms
+    of consecutive shares of a batch, in batch order, give the whole
+    batch's. Consumes the cache: backward frees each activation after its
+    last read, so a second call on the same cache raises ValueError.
+    d_logits is only read.
     """
     d_weighted, backend_grads = backend_backward(cache.backend, d_logits)
     d_stacks, predictor_grads = excite_backward(cache.excite, d_weighted)

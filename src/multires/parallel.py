@@ -1,4 +1,4 @@
-"""Run one piece of work over a range of items on every CPU, by fork.
+"""Run work on every CPU, by fork: a range of items in shares, or a stream of requests.
 
 `run_shares(n, work)` cuts items ``0..n`` into one contiguous share per CPU
 this process may run on (`workers`, at most one share per item) and calls
@@ -9,12 +9,19 @@ byte range of an open file (`cache.write_cache`). The shares are the
 serial ones cut at other points, so any result that depends only on its
 item is the same at any process count.
 
-A child reports a failure as its pickled exception on a pipe and leaves
+`Workers(handle)` forks one process per CPU but this one, once, for work
+that comes in many rounds (`trainer.train`, one round per training step).
+Each worker answers the requests this process sends it, one at a time,
+with ``handle(request)``, and keeps what `handle` keeps between requests.
+Requests and answers travel pickled on a pair of pipes per worker.
+
+A child reports a failure as its pickled exception on its pipe and leaves
 with ``os._exit``, so it never flushes a buffer or runs a cleanup it
-inherited from this process. Every child is reaped before `run_shares`
+inherited from this process. `run_shares` reaps every child before it
 returns; if this process's own share fails, the children are killed
-first. The error of the first failing share is raised, as it would be if
-the shares ran one after another in one process.
+first. `Workers.close` kills and reaps every worker, on any way out of its
+``with`` block. The error of the first failing share is raised, as it
+would be if the shares ran one after another in one process.
 """
 
 from __future__ import annotations
@@ -23,13 +30,13 @@ import os
 import pickle
 import signal
 import threading
-from typing import Callable
+from typing import BinaryIO, Callable
 
 Work = Callable[[int, int], None]
 
 
 def workers() -> int:
-    """Processes `run_shares` may spread its items over: one per CPU it may use.
+    """Processes the work may spread over: one per CPU this process may use.
 
     One while other threads run, since a forked child keeps only the thread
     that forked (and Python 3.12+ warns about such a fork), and one where
@@ -40,11 +47,21 @@ def workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_share(work: Work, start: int, stop: int) -> tuple[int, int]:
-    """Fork a child that runs work(start, stop) and exits.
+def _portable(exc: BaseException) -> BaseException:
+    """exc if it survives a pickle round trip, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
 
-    Returns its pid and the read end of a pipe that carries the pickled
-    exception if the child fails, and nothing if it succeeds.
+
+def _fork(body: Callable[[BinaryIO], None], inherited: tuple[int, ...] = ()) -> tuple[int, int]:
+    """Fork a child that runs body(pipe) and exits; returns its pid and the pipe's read end.
+
+    `body` may write answers on `pipe`. If it fails, ``(False, exception)``
+    follows them, pickled. The child first closes `inherited`, descriptors
+    of this process's other children that it must not hold open.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -58,31 +75,24 @@ def _fork_share(work: Work, start: int, stop: int) -> tuple[int, int]:
         return pid, read_fd
     status = 1
     try:
-        os.close(read_fd)
-        work(start, stop)
-        status = 0
-    except BaseException as exc:
-        try:
-            payload = pickle.dumps(exc)
-            pickle.loads(payload)
-        except Exception:
-            payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        try:
-            with open(write_fd, "wb", closefd=False) as pipe:
-                pipe.write(payload)
-        except OSError:  # the parent stopped reading: it failed first and is killing its children
-            pass
+        for fd in (read_fd, *inherited):
+            os.close(fd)
+        with open(write_fd, "wb") as pipe:
+            try:
+                body(pipe)
+                status = 0
+            except BaseException as exc:
+                pipe.write(pickle.dumps((False, _portable(exc))))
+    except OSError:  # the parent stopped reading: it failed first and is killing its children
+        pass
     finally:
         os._exit(status)
 
 
-def _share_error(pid: int, payload: bytes, status: int) -> BaseException | None:
-    """The exception a reaped child ended with, from its pipe and wait status, or None."""
-    if payload:
-        return pickle.loads(payload)
-    if status:
-        return RuntimeError(f"forked process {pid} ended with wait status {status}")
-    return None
+def _reap(pid: int) -> RuntimeError | None:
+    """Wait for a child to end; the error it ended with, or None if it exited cleanly."""
+    _, status = os.waitpid(pid, 0)
+    return RuntimeError(f"forked process {pid} ended with wait status {status}") if status else None
 
 
 def run_shares(n_items: int, work: Work) -> None:
@@ -98,17 +108,17 @@ def run_shares(n_items: int, work: Work) -> None:
     children: dict[int, int] = {}  # pid -> read end of its error pipe, until reaped
     try:
         for share in range(1, count):
-            pid, read_fd = _fork_share(work, bounds[share], bounds[share + 1])
+            pid, read_fd = _fork(lambda pipe, a=bounds[share], b=bounds[share + 1]: work(a, b))
             children[pid] = read_fd
         work(0, bounds[1])
         errors = []
         for pid, read_fd in list(children.items()):
             with open(read_fd, "rb", closefd=False) as pipe:
                 payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
+            ended = _reap(pid)
             del children[pid]
             os.close(read_fd)
-            errors.append(_share_error(pid, payload, status))
+            errors.append(pickle.loads(payload)[1] if payload else ended)
         failed = next((error for error in errors if error is not None), None)
         if failed is not None:
             raise failed
@@ -117,3 +127,90 @@ def run_shares(n_items: int, work: Work) -> None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read_fd)
+
+
+def _serve(handle: Callable[[object], object], requests_fd: int, answers: BinaryIO) -> None:
+    """Answer each pickled request with handle(request), until the requests end."""
+    with open(requests_fd, "rb") as requests:
+        while True:
+            try:
+                request = pickle.load(requests)
+            except EOFError:
+                return
+            pickle.dump((True, handle(request)), answers, pickle.HIGHEST_PROTOCOL)
+            answers.flush()
+
+
+class Workers:
+    """One forked process per CPU but this one, each answering requests with handle(request).
+
+    ``ask(i, request)`` sends worker i a request, and ``answer(i)`` waits
+    for its answer; a worker answers its requests in order. `answer`
+    raises the exception `handle` failed with, or RuntimeError for a worker
+    that ended without one. None is forked on one CPU or while another
+    thread runs. Use it in a ``with`` block: `close` kills and reaps every
+    worker, and a worker left without this process reads the end of its
+    requests and exits.
+    """
+
+    def __init__(self, handle: Callable[[object], object]) -> None:
+        self._pids: list[int] = []
+        self._requests: list[BinaryIO] = []
+        self._answers: list[BinaryIO] = []
+        try:
+            for _ in range(workers() - 1):
+                read_fd, write_fd = os.pipe()
+                ours = (write_fd,) + tuple(f.fileno() for f in self._requests + self._answers)
+                try:
+                    pid, answers_fd = _fork(lambda pipe: _serve(handle, read_fd, pipe), ours)
+                except BaseException:
+                    os.close(write_fd)
+                    raise
+                finally:
+                    os.close(read_fd)
+                self._pids.append(pid)
+                self._requests.append(open(write_fd, "wb"))
+                self._answers.append(open(answers_fd, "rb"))
+        except BaseException:
+            self.close()
+            raise
+
+    def __len__(self) -> int:
+        return len(self._pids)
+
+    def __enter__(self) -> Workers:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def ask(self, index: int, request: object) -> None:
+        try:
+            pickle.dump(request, self._requests[index], pickle.HIGHEST_PROTOCOL)
+            self._requests[index].flush()
+        except BrokenPipeError:
+            self.answer(index)  # the worker is gone: raise what it ended with
+            raise
+
+    def answer(self, index: int) -> object:
+        try:
+            ok, value = pickle.load(self._answers[index])
+        except EOFError:
+            pid, self._pids[index] = self._pids[index], 0
+            raise _reap(pid) or RuntimeError(f"forked process {pid} ended early") from None
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Kill and reap every worker and close its pipes."""
+        for pid in self._pids:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in self._requests + self._answers:
+            try:
+                pipe.close()
+            except OSError:  # a request left unread in the buffer of a killed worker's pipe
+                pass
+        self._pids, self._requests, self._answers = [], [], []

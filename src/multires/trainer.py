@@ -6,11 +6,16 @@ from generators seeded by (config.seed, epoch), batches are consecutive
 slices of the permutation, and gradients are reduced in a fixed order, so
 identical seeds reproduce logs and checkpoints byte for byte.
 
-Scoring (`score_cache`, and so every dev pass and eval) runs on every CPU
-through `parallel.run_shares`, the runner that also writes each extracted
-cache: each process scores a contiguous share of the split's chunks and
-holds one chunk's activations. The bits do not depend on the split, so
-they are the same on any number of CPUs. Training steps run in one process.
+Everything runs on every CPU, with the bits of one process. Scoring
+(`score_cache`, and so every dev pass and eval) goes through
+`parallel.run_shares`, the runner that also writes each extracted cache:
+each process scores a contiguous share of the split's chunks and holds one
+chunk's activations. Training goes through `parallel.Workers`, forked once
+per `train` call: each step cuts its batch into contiguous shares of at
+least `MIN_SHARE_ROWS` rows, each process runs the forward and backward of
+its share, this one computes the loss on the gathered logits, and
+`reduction.reduce_grads` sums every share's gradient terms in the serial
+order before the Adam step.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .model import (
     model_forward,
     model_params,
 )
-from .parallel import run_shares
+from .parallel import Workers, run_shares
+from .reduction import reduce_grads
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
@@ -183,6 +189,48 @@ class TrainResult:
     log_lines: list[str]
 
 
+# Fewest rows a share of a training batch may hold: a one-row GEMM takes
+# BLAS's GEMV path and gives its row other bits than a taller GEMM does.
+MIN_SHARE_ROWS = 2
+
+
+def _share_bounds(n_rows: int, processes: int) -> list[int]:
+    """Cuts of a batch into contiguous shares, one per process, none under MIN_SHARE_ROWS rows."""
+    count = max(1, min(processes, n_rows // MIN_SHARE_ROWS))
+    return [share * n_rows // count for share in range(count + 1)]
+
+
+def _epoch_stacks(train_cache: FeatureCache, reload_train, epoch: int):
+    return train_cache.stacks if reload_train is None or epoch < 2 else reload_train(epoch)
+
+
+class _ShareStep:
+    """A forked worker's part of each training step: the forward and backward of its share.
+
+    Its requests alternate. ``(epoch, rows, params)`` sets the model to the
+    caller's parameters, reads the rows of that epoch's train stacks (from
+    disk, or extracting them) and answers their logits; the logit
+    gradients of those rows then answer their gradient terms.
+    """
+
+    def __init__(self, model: Model, train_cache: FeatureCache, reload_train, dtype: np.dtype):
+        self.model, self.dtype = model, dtype
+        self.train_cache, self.reload_train = train_cache, reload_train
+        self.epoch, self.stacks, self.cache = 1, train_cache.stacks, None
+
+    def __call__(self, request):
+        if self.cache is not None:
+            cache, self.cache = self.cache, None
+            return model_backward(cache, request)[1]
+        epoch, rows, params = request
+        for p, value in zip(model_params(self.model), params):
+            p[...] = value
+        if epoch != self.epoch:
+            self.epoch, self.stacks = epoch, _epoch_stacks(self.train_cache, self.reload_train, epoch)
+        logits, self.cache = model_forward(self.stacks[rows].astype(self.dtype, copy=False), self.model)
+        return logits
+
+
 def train(
     train_cache: FeatureCache,
     dev_cache: FeatureCache,
@@ -201,9 +249,16 @@ def train(
     so for a corpus shorter than the target the reloaded stacks equal the
     cached ones.
 
-    Each batch indexes the train stacks with its slice of the permutation,
-    so a cache opened by `read_cache` is read from disk, and recropped stacks
-    are extracted, one batch at a time.
+    Each step runs on every CPU: `parallel.Workers` forks one worker per
+    CPU but this one before epoch 1, and each batch is cut into contiguous
+    shares of at least `MIN_SHARE_ROWS` rows, this process's first (a small
+    batch runs in fewer shares, down to one). Each process indexes the
+    train stacks with its share's slice of the permutation, so a cache
+    opened by `read_cache` is read from disk, and recropped stacks are
+    extracted, a share at a time; each runs the forward and, given its
+    rows of the whole batch's logit gradient, the backward of its rows.
+    `reduction.reduce_grads` sums the gradient terms of all shares in
+    batch order, so every step has the bits it has in one process.
 
     Emits one log line per epoch, `epoch<TAB>train_loss<TAB>dev_eer`, then
     `retained_epoch<TAB>k`.
@@ -218,39 +273,47 @@ def train(
     )
     state = init_optimizer(model_params(model), config)
     labels = train_cache.labels.astype(np.int64)
-    stacks = train_cache.stacks
     dev_labels = dev_cache.labels
     best_epoch = 0
     best_eer = np.inf
     best_model = None
     log_lines: list[str] = []
-    for epoch in range(1, config.epochs + 1):
-        if reload_train is not None and epoch >= 2:
-            stacks = reload_train(epoch)
+    with Workers(_ShareStep(model, train_cache, reload_train, dtype)) as workers:
+        for epoch in range(1, config.epochs + 1):
+            stacks = _epoch_stacks(train_cache, reload_train, epoch)
             if stacks.shape != train_cache.stacks.shape:
                 raise ValueError("reloaded train stacks changed shape mid-run")
-        perm = np.random.default_rng([config.seed, epoch]).permutation(len(labels))
-        loss_sum = 0.0
-        for start in range(0, len(perm), config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            batch = stacks[idx].astype(dtype, copy=False)  # indexing already copied
-            logits, fwd = model_forward(batch, model, keep_cache=True)
-            loss, d_logits = cross_entropy_batch(logits, labels[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at optimizer step {state.step + 1} (epoch {epoch})"
-                )
-            _, grads = model_backward(fwd, d_logits)
-            adam_step(model_params(model), grads, state)
-            loss_sum += loss * len(idx)
-        train_loss = loss_sum / len(labels)
-        dev_eer = eer_from_scores(score_cache(model, dev_cache), dev_labels)
-        log_lines.append(f"{epoch}\t{train_loss:.6f}\t{dev_eer:.6f}")
-        if progress is not None:
-            progress(log_lines[-1])
-        if dev_eer < best_eer:
-            best_eer = dev_eer
-            best_epoch = epoch
-            best_model = copy.deepcopy(model)
+            perm = np.random.default_rng([config.seed, epoch]).permutation(len(labels))
+            loss_sum = 0.0
+            for start in range(0, len(perm), config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                cuts = _share_bounds(len(idx), len(workers) + 1)
+                others = range(len(cuts) - 2)  # the workers with a share, worker i has share i + 1
+                params = model_params(model)
+                for i in others:
+                    workers.ask(i, (epoch, idx[cuts[i + 1] : cuts[i + 2]], params))
+                batch = stacks[idx[: cuts[1]]].astype(dtype, copy=False)  # indexing already copied
+                logits, fwd = model_forward(batch, model, keep_cache=True)
+                logits = np.concatenate([logits] + [workers.answer(i) for i in others])
+                loss, d_logits = cross_entropy_batch(logits, labels[idx])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at optimizer step {state.step + 1} (epoch {epoch})"
+                    )
+                for i in others:
+                    workers.ask(i, d_logits[cuts[i + 1] : cuts[i + 2]])
+                _, terms = model_backward(fwd, d_logits[: cuts[1]])
+                grads = reduce_grads([terms] + [workers.answer(i) for i in others])
+                adam_step(params, grads, state)
+                loss_sum += loss * len(idx)
+            train_loss = loss_sum / len(labels)
+            dev_eer = eer_from_scores(score_cache(model, dev_cache), dev_labels)
+            log_lines.append(f"{epoch}\t{train_loss:.6f}\t{dev_eer:.6f}")
+            if progress is not None:
+                progress(log_lines[-1])
+            if dev_eer < best_eer:
+                best_eer = dev_eer
+                best_epoch = epoch
+                best_model = copy.deepcopy(model)
     log_lines.append(f"retained_epoch\t{best_epoch}")
     return TrainResult(best_model, best_epoch, float(best_eer), log_lines)

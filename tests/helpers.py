@@ -3,13 +3,18 @@
 `toy_config` is the shipped `configs/toy.cfg`, so the acceptance run checks
 the file users run. `MICRO` is a seconds-long pipeline config for the CLI
 and pipeline tests. `array_rows` wraps an array as `FeatureCache` rows,
-`traced_peak` measures the memory one call allocates, and `counting_forks`
-records the children `parallel.run_shares` forks.
+`traced_peak` measures the memory one call allocates and `fresh_run` runs
+a measuring script in a new interpreter; `counting_forks` records the
+children `parallel` forks, and `reduced` turns the gradient terms of one
+backward pass into its gradients.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +22,7 @@ import numpy as np
 
 from multires.cache import CacheRows
 from multires.config import AppConfig, parse_config
+from multires.reduction import reduce_grads
 
 TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
 
@@ -76,7 +82,13 @@ def array_rows(stacks) -> CacheRows:
 
 
 def traced_peak(run) -> int:
-    """Bytes allocated at the peak of `run()` above what was live before it."""
+    """Bytes allocated at the peak of `run()` above what was live before it.
+
+    tracemalloc also counts a rebuild of CPython's table of interned
+    strings inside `run()`, and the table's size depends on everything the
+    process ran before: late in the test suite a rebuild added 1.9 MB to
+    one call. A bound with a thinner margin is measured in `fresh_run`.
+    """
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -84,6 +96,27 @@ def traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def fresh_run(script: str, *args: str):
+    """Run `script` with `args` in a new interpreter; the JSON value it prints last.
+
+    `src` and this directory are on its path, so it imports `multires` and
+    these helpers.
+    """
+    tests_dir = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def reduced(*terms) -> list[np.ndarray]:
+    """The gradients that the terms of one backward pass, a single share, reduce to."""
+    return reduce_grads([list(terms)])
 
 
 def counting_forks(monkeypatch) -> list[int]:

@@ -19,7 +19,7 @@ from multires.backend import (
 )
 from multires.model import fresh_weights
 
-from helpers import traced_peak
+from helpers import reduced, traced_peak
 from oracles import central_difference, naive_conv2d
 
 
@@ -68,14 +68,15 @@ def test_conv_1x1_kernel():
 def _assert_conv_grads(x, p, stride, rng):
     dy = rng.standard_normal(conv2d_forward(x, p, stride).shape)
     dx, dp = conv2d_backward(x, p, dy, stride)
+    d_weight, d_bias = reduced(dp.weight, dp.bias)
 
     def loss():
         return float((conv2d_forward(x, p, stride) * dy).sum())
 
     num = central_difference(loss, [x, p.weight, p.bias])
     np.testing.assert_allclose(dx, num[0], rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(dp.weight, num[1], rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(dp.bias, num[2], rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(d_weight, num[1], rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(d_bias, num[2], rtol=1e-6, atol=1e-8)
 
 
 def test_conv_backward_finite_differences():
@@ -130,7 +131,7 @@ def test_conv_float32_in_float32_out():
 
 def _flat_grads(grads):
     dx, dp = grads
-    return dx, dp.weight, dp.bias
+    return dx, *reduced(dp.weight, dp.bias)
 
 
 def test_conv_backward_rejects_bad_shapes():
@@ -243,12 +244,13 @@ def test_block_backward_finite_differences():
             return float((out * dy).sum())
 
         arrays = [x, p.conv1.weight, p.conv1.bias, p.conv2.weight, p.conv2.bias]
-        grad_arrays = [dx, grads.conv1.weight, grads.conv1.bias, grads.conv2.weight, grads.conv2.bias]
+        terms = [grads.conv1.weight, grads.conv1.bias, grads.conv2.weight, grads.conv2.bias]
         if p.proj is not None:
             arrays += [p.proj.weight, p.proj.bias]
-            grad_arrays += [grads.proj.weight, grads.proj.bias]
+            terms += [grads.proj.weight, grads.proj.bias]
         arrays += [p.se.fc1_weight, p.se.fc1_bias, p.se.fc2_weight, p.se.fc2_bias]
-        grad_arrays += [grads.se.fc1_weight, grads.se.fc1_bias, grads.se.fc2_weight, grads.se.fc2_bias]
+        terms += [grads.se.fc1_weight, grads.se.fc1_bias, grads.se.fc2_weight, grads.se.fc2_bias]
+        grad_arrays = [dx] + reduced(*terms)
 
         num = central_difference(loss, arrays)
         for got, want in zip(grad_arrays, num):
@@ -306,7 +308,7 @@ def test_backend_backward_finite_differences():
         return float((out * d_logits).sum())
 
     arrays = [x] + backend_param_arrays(params)
-    grad_arrays = [dx] + backend_param_arrays(grads)
+    grad_arrays = [dx] + reduced(*backend_param_arrays(grads))
     num = central_difference(loss, arrays)
     for got, want in zip(grad_arrays, num):
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)

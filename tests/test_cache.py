@@ -8,7 +8,7 @@ import pytest
 from multires.cache import MAGIC, VERSION, CacheFormatError, FeatureCache, read_cache, write_cache
 from multires.stft import ResolutionSpec
 
-from helpers import array_rows, traced_peak
+from helpers import array_rows, fresh_run, traced_peak
 
 RES = (ResolutionSpec(128, 32), ResolutionSpec(256, 64))
 
@@ -207,14 +207,24 @@ def test_rows_read_bitwise_equal_to_stacks(tmp_path):
     assert rows[:].shape == rows[np.array([], dtype=np.int64)].shape == (0, 2, 3, 4)
 
 
+# Measured in a fresh interpreter (see `helpers.traced_peak`).
+READ_PEAKS = """
+import json
+import sys
+from helpers import traced_peak
+from multires.cache import read_cache
+read_cache(sys.argv[1])  # fills one-time lazy state
+print(json.dumps([traced_peak(lambda: read_cache(path)) for path in sys.argv[1:]]))
+"""
+
+
 def test_read_cache_peak_does_not_grow_with_utterances(tmp_path):
     # opening reads the header and the id table, never the payload
     row_bytes = 4 * len(RES) * 64 * 65
-    peaks = {}
-    for n in (4, 64):
-        path = tmp_path / f"{n}.mrfe"
+    paths = {n: tmp_path / f"{n}.mrfe" for n in (4, 64)}
+    for n, path in paths.items():
         write_cache(_cache(n=n, w=64, h=65), path)
-        peaks[n] = traced_peak(lambda: read_cache(path))
+    peaks = dict(zip(paths, fresh_run(READ_PEAKS, *map(str, paths.values()))))
     assert peaks[64] < row_bytes, peaks
     # only the id table grows: a few hundred bytes per utterance at most
     assert peaks[64] - peaks[4] < 60 * 256, peaks

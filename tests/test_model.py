@@ -22,7 +22,7 @@ from multires.stft import ResolutionSpec
 from multires.trainer import cross_entropy_batch
 from multires.weighting import hidden_width
 
-from helpers import traced_peak
+from helpers import reduced, traced_peak
 from oracles import central_difference
 
 RES = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
@@ -72,11 +72,11 @@ def test_forward_backward_shapes():
     x = np.random.default_rng(2).standard_normal((4, 3, 6, 5))
     logits, cache = model_forward(x, model)
     assert logits.shape == (4, 2)
-    d_stacks, grads = model_backward(cache, np.ones_like(logits))
+    d_stacks, terms = model_backward(cache, np.ones_like(logits))
     assert d_stacks.shape == x.shape
-    assert len(grads) == len(model_params(model))
-    for g, p in zip(grads, model_params(model)):
-        assert g.shape == p.shape
+    assert len(terms) == len(model_params(model))
+    for t, g, p in zip(terms, reduced(*terms), model_params(model)):
+        assert t.shape == g.shape == p.shape
 
 
 def test_forward_rejects_wrong_channels():
@@ -104,7 +104,7 @@ def test_training_step_peak_near_its_cache(dtype):
     def step():
         logits, cache = model_forward(x, model)
         _, d_logits = cross_entropy_batch(logits, np.arange(4) % 2)
-        return model_backward(cache, d_logits)
+        return reduced(*model_backward(cache, d_logits)[1])
 
     cached = traced_peak(lambda: model_forward(x, model))
     peak = traced_peak(step)
@@ -150,14 +150,14 @@ def test_end_to_end_gradients_match_finite_differences():
     x = rng.standard_normal((2, 3, 5, 4))
     logits, cache = model_forward(x, model)
     d_logits = rng.standard_normal(logits.shape)
-    d_stacks, grads = model_backward(cache, d_logits)
+    d_stacks, terms = model_backward(cache, d_logits)
 
     def loss():
         out, _ = model_forward(x, model)
         return float((out * d_logits).sum())
 
     arrays = [x] + model_params(model)
-    got = [d_stacks] + grads
+    got = [d_stacks] + reduced(*terms)
     num = central_difference(loss, arrays)
     for g, n in zip(got, num):
         np.testing.assert_allclose(g, n, rtol=1e-5, atol=1e-7)

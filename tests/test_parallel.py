@@ -162,3 +162,51 @@ def test_extract_failure_raises_reaps_and_keeps_the_earlier_cache(micro_eval, tm
 
     cache = FeatureCache(config.resolutions, CacheRows(extracted.shape, killed), ids, np.zeros(7, dtype=np.uint8))
     check_failed(lambda: write_cache(cache, path), RuntimeError, "forked process .* ended with wait status")
+
+
+def test_workers_answer_in_turn_and_are_reaped_on_every_exit(monkeypatch):
+    # with 3 CPUs two workers are forked once; each answers its requests in
+    # order and keeps state between them. A failing handle's error is raised
+    # by `answer`, a killed worker is named by its wait status, and leaving
+    # the block, also by an exception, kills and reaps every worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = counting_forks(monkeypatch)
+    seen = []
+
+    def handle(request):
+        seen.append(request)
+        if request == "fail":
+            raise ValueError(f"failed after {seen[:-1]}")
+        if request == "die":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return os.getpid(), len(seen)
+
+    with parallel.Workers(handle) as workers:
+        assert len(workers) == len(forks) == 2
+        for i in (0, 1):
+            workers.ask(i, "a")
+        assert [workers.answer(i) for i in (0, 1)] == [(pid, 1) for pid in forks]
+        workers.ask(0, "b")
+        assert workers.answer(0) == (forks[0], 2)
+        workers.ask(1, "fail")
+        with pytest.raises(ValueError, match=re.escape("failed after ['a']")):
+            workers.answer(1)
+        workers.ask(0, "die")
+        with pytest.raises(RuntimeError, match="forked process .* ended with wait status"):
+            workers.answer(0)
+    assert seen == []  # every request ran in a worker
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    with pytest.raises(KeyError):
+        with parallel.Workers(handle) as workers:
+            workers.ask(1, "a")
+            raise KeyError("this process failed first")
+    assert len(forks) == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with parallel.Workers(handle) as workers:
+        assert len(workers) == 0
+    assert len(forks) == 4

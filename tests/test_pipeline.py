@@ -1,9 +1,6 @@
 import dataclasses
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +29,7 @@ from multires.signal_io import read_protocol, read_scores, read_wav, unify_lengt
 from multires.stft import ResolutionSpec, log_magnitude, stft
 from multires.weighting import mean_weights_over_set
 
-from helpers import micro_config, traced_peak
+from helpers import fresh_run, micro_config
 from oracles import pool_2d_left_to_right
 
 
@@ -204,37 +201,53 @@ def test_failed_extract_leaves_no_cache_and_keeps_the_earlier_one(run_dir, tmp_p
         assert path.read_bytes() == before
 
 
-def test_extract_to_disk_peak_does_not_grow_with_utterances(tmp_path, monkeypatch):
-    # each process extracts and writes one utterance of its share before the
-    # next, so a split of 32 peaks no higher in this process than a split of
-    # 4, far below 28 more rows, at one worker and at two
-    config = micro_config(tmp_path, **{"corpus.n_train": "32", "alignment.target": "128x129"})
-    run_gen_data(config)
-    row_bytes = 4 * len(config.resolutions) * 128 * 129
-    run_extract(config, splits=("dev",))  # fills one-time lazy state
-    for workers in (1, 2):
-        monkeypatch.setattr(parallel, "workers", lambda: workers)
-        peaks = {
-            split: traced_peak(lambda: run_extract(config, splits=(split,)))
-            for split in ("dev", "train")
-        }
-        assert load_split_cache(config, "train").n_utterances == 32
-        assert load_split_cache(config, "dev").n_utterances == 4
-        assert peaks["train"] - peaks["dev"] < row_bytes, (workers, peaks)
-
-
-# Runs in a fresh interpreter: tracemalloc counts a rebuild of the process's
-# table of interned strings, which grows with every test run before and was
-# seen to add 1.9 MB to a run late in the suite.
-RECROP_PEAK = """
+# Peaks of this process, measured in a fresh interpreter (see
+# `helpers.traced_peak`) at one worker and at two.
+EXTRACT_PEAKS = """
 import json
 import sys
 from pathlib import Path
 from helpers import micro_config, traced_peak
+from multires import parallel
+from multires.pipeline import run_extract
+config = micro_config(Path(sys.argv[1]), **json.loads(sys.argv[2]))
+run_extract(config)  # fills one-time lazy state, such as the train split's crop streams
+peaks = {}
+for workers in (1, 2):
+    parallel.workers = lambda: workers
+    peaks[workers] = {s: traced_peak(lambda: run_extract(config, splits=(s,))) for s in ("dev", "train")}
+print(json.dumps(peaks))
+"""
+
+
+def test_extract_to_disk_peak_does_not_grow_with_utterances(tmp_path):
+    # each process extracts and writes one utterance of its share before the
+    # next, so a split of 32 peaks no higher in this process than a split of
+    # 4, far below 28 more rows, at one worker and at two
+    overrides = {"corpus.n_train": "32", "alignment.target": "128x129"}
+    config = micro_config(tmp_path, **overrides)
+    run_gen_data(config)
+    row_bytes = 4 * len(config.resolutions) * 128 * 129
+    for workers, peaks in fresh_run(EXTRACT_PEAKS, str(tmp_path), json.dumps(overrides)).items():
+        assert peaks["train"] - peaks["dev"] < row_bytes, (workers, peaks)
+    assert load_split_cache(config, "train").n_utterances == 32
+    assert load_split_cache(config, "dev").n_utterances == 4
+
+
+RECROP_PEAKS = """
+import json
+import sys
+from pathlib import Path
+from helpers import micro_config, traced_peak
+from multires import parallel
 from multires.pipeline import run_train
 config = micro_config(Path(sys.argv[1]), **json.loads(sys.argv[2]))
 run_train(config)  # fills one-time lazy state
-print(traced_peak(lambda: run_train(config)))
+peaks = {}
+for workers in (1, 2):
+    parallel.workers = lambda: workers
+    peaks[workers] = traced_peak(lambda: run_train(config))
+print(json.dumps(peaks))
 """
 
 
@@ -247,15 +260,8 @@ def test_recropping_train_holds_batches_not_the_split(tmp_path):
     run_extract(config)
     assert _needs_recrop(config)
     payload = load_split_cache(config, "train").n_utterances * 4 * len(config.resolutions) * 16 * 17
-    tests_dir = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
-    done = subprocess.run(
-        [sys.executable, "-c", RECROP_PEAK, str(tmp_path), json.dumps(overrides)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600,
-    )
-    assert done.returncode == 0, done.stderr
-    peak = int(done.stdout)
-    assert peak < payload, f"peak {peak} B for a {payload} B split"
+    for workers, peak in fresh_run(RECROP_PEAKS, str(tmp_path), json.dumps(overrides)).items():
+        assert peak < payload, f"peak {peak} B for a {payload} B split at {workers} workers"
 
 
 def test_needs_recrop_logic(run_dir, tmp_path):

@@ -1,7 +1,10 @@
 
+import dataclasses
 import os
 import re
 import signal
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from multires.trainer import (
 )
 
 from oracles import adam_trace, central_difference
-from helpers import array_rows, counting_forks, traced_peak
+from helpers import array_rows, counting_forks, fresh_run, micro_config, traced_peak
 
 RES = (ResolutionSpec(64, 16), ResolutionSpec(128, 32))
 SLIM = BackendConfig(stem_channels=4, stages=1, blocks_per_stage=1, se_reduction=2)
@@ -346,22 +349,172 @@ def test_passes_leave_their_inputs_unchanged(dtype):
     assert rows.tobytes() == kept
 
 
+# Peaks of this process, measured in a fresh interpreter (see
+# `helpers.traced_peak`) at one worker and at two. The model trained from
+# disk must be bitwise the one trained on the same stacks in memory.
+DISK_PEAKS = """
+import json
+import sys
+from pathlib import Path
+from test_trainer import SLIM, _caches, _trained
+from helpers import traced_peak
+from multires import parallel
+from multires.cache import read_cache
+from multires.trainer import TrainConfig, train
+train_mem, dev_mem = _caches(n_train=512, n_dev=16, w=16, h=17)
+paths = [Path(sys.argv[1]) / f"{name}.mrfe" for name in ("train", "dev")]
+cfg = TrainConfig(epochs=1, batch_size=4, seed=0, warmup_steps=8, dtype="float32")
+out = {}
+for workers in (1, 2):
+    parallel.workers = lambda: workers
+    in_memory = train(train_mem, dev_mem, cfg, SLIM)  # also fills one-time lazy state
+    trained = []  # the model trained from disk, kept while the peak is read
+    peak = traced_peak(lambda: trained.append(train(*map(read_cache, paths), cfg, SLIM)))
+    out[workers] = [peak, _trained(trained[0]) == _trained(in_memory)]
+print(json.dumps(out))
+"""
+
+
 def test_train_on_disk_cache_holds_batches_not_the_split(tmp_path):
     # a cache opened from disk is read a batch at a time, so opening both
-    # splits and training stays below the train split's bytes; the model is
-    # bitwise the one trained on the same stacks in memory
+    # splits and training stays below the train split's bytes
     train_mem, dev_mem = _caches(n_train=512, n_dev=16, w=16, h=17)
     for name, cache in (("train", train_mem), ("dev", dev_mem)):
         write_cache(cache, tmp_path / f"{name}.mrfe")
-    cfg = TrainConfig(epochs=1, batch_size=4, seed=0, warmup_steps=8, dtype="float32")
-    in_memory = train(train_mem, dev_mem, cfg, SLIM)  # also fills one-time lazy state
-
-    paths = [tmp_path / f"{name}.mrfe" for name in ("train", "dev")]
-    trained = []  # the model trained from disk, kept for the checks below
-    peak = traced_peak(lambda: trained.append(train(*map(read_cache, paths), cfg, SLIM)))
-    from_disk = trained[0]
     split_bytes = 4 * np.prod(train_mem.stacks.shape)
-    assert peak < split_bytes, f"peak {peak} B for a {split_bytes} B split"
-    assert from_disk.log_lines == in_memory.log_lines
-    for a, b in zip(model_params(from_disk.model), model_params(in_memory.model)):
-        assert a.tobytes() == b.tobytes()
+    for workers, (peak, same) in fresh_run(DISK_PEAKS, str(tmp_path)).items():
+        assert peak < split_bytes, f"peak {peak} B for a {split_bytes} B split at {workers} workers"
+        assert same, workers
+
+def _trained(result):
+    """What a run must reproduce bit for bit: its log and every parameter's bytes."""
+    return result.log_lines, [p.tobytes() for p in model_params(result.model)]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_bitwise_at_any_worker_count(tmp_path, monkeypatch, dtype):
+    # each step split over forked workers gives the log and parameters of
+    # one process: 23 rows leave a partial last batch at every batch size
+    # (one row at batch 2, three at 4, which run in one share), for train
+    # stacks held in memory, read from disk, and redrawn every epoch; one
+    # worker per CPU but this process is forked once per run, beside the
+    # dev scorers, and none on one CPU
+    train_mem, dev = _caches(n_train=23, n_dev=8)
+    write_cache(train_mem, tmp_path / "train.mrfe")
+    base = train_mem.stacks[:]
+    sources = {
+        "memory": (train_mem, None),
+        "disk": (read_cache(tmp_path / "train.mrfe"), None),
+        "recrop": (train_mem, lambda epoch: array_rows(base + 0.01 * epoch)),
+    }
+    forks = counting_forks(monkeypatch)
+    dev_chunks = -(-dev.n_utterances // trainer.SCORE_BATCH)
+    for batch in (2, 3, 4, 5, 8):
+        cfg = TrainConfig(epochs=2, batch_size=batch, seed=7, warmup_steps=8, dtype=dtype)
+        for name, (cache, reload) in sources.items():
+            monkeypatch.setattr(parallel, "workers", lambda: 1)
+            want = _trained(train(cache, dev, cfg, SLIM, reload_train=reload))
+            assert forks == []
+            for workers in (2, 5):
+                monkeypatch.setattr(parallel, "workers", lambda: workers)
+                got = _trained(train(cache, dev, cfg, SLIM, reload_train=reload))
+                assert got == want, (name, batch, workers)
+                assert len(forks) == workers - 1 + cfg.epochs * (min(workers, dev_chunks) - 1)
+                forks.clear()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_forks_nothing_while_a_thread_runs(monkeypatch):
+    # a forked child keeps only the forking thread, so with another thread
+    # alive every share runs here, with the bits of one CPU
+    train_cache, dev_cache = _caches(n_train=12)
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=1, warmup_steps=8)
+    want = _trained(train(train_cache, dev_cache, cfg, SLIM))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    forks = counting_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        got = _trained(train(train_cache, dev_cache, cfg, SLIM))
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert forks == []
+    assert got == want
+
+
+@pytest.fixture(scope="module")
+def micro_train(tmp_path_factory):
+    """A micro corpus whose 10 train WAVs are longer than the target, so epoch 2 recrops."""
+    config = micro_config(tmp_path_factory.mktemp("micro_train"), **{"corpus.n_train": "10"})
+    pipeline.run_gen_data(config)
+    pipeline.run_extract(config, ("train", "dev"))
+    assert pipeline._needs_recrop(config)
+    return config
+
+
+def _fails_and_reaps(config, error, match):
+    """run_train raises `error` matching `match`, saves no checkpoint and leaves no child."""
+    with pytest.raises(error, match=match):
+        pipeline.run_train(config)
+    assert not config.checkpoint_dir.exists() or not any(config.checkpoint_dir.iterdir())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_failing_share_raises_its_error_and_reaps(micro_train, tmp_path, monkeypatch):
+    # epoch 2's first batch of 4 is read as rows perm[0:2] here and
+    # perm[2:4] in the worker; a non-finite recropped row raises its error
+    # from either share, the first failing row's as serially, and the run
+    # stops with no checkpoint and no child left
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    perm = np.random.default_rng([micro_train.train.seed, 2]).permutation(10)
+    ids = pipeline.load_split_cache(micro_train, "train").ids
+    reading, bad = [], set()
+    read_wav, align_map = pipeline.read_wav, pipeline.align_map
+
+    def remember(path, **kwargs):
+        reading[:] = [Path(path).stem]
+        return read_wav(path, **kwargs)
+
+    def poisoned(*args):
+        out = align_map(*args)
+        if reading[0] in bad:
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(pipeline, "read_wav", remember)
+    monkeypatch.setattr(pipeline, "align_map", poisoned)
+    for n, rows in enumerate(((2,), (3, 2), (1, 2))):
+        bad.clear()
+        bad.update(ids[perm[row]] for row in rows)
+        first = ids[perm[min(rows)]]
+        config = dataclasses.replace(micro_train, checkpoint_dir=tmp_path / f"ckpt{n}")
+        _fails_and_reaps(config, pipeline.PipelineError, f"train utterance '{first}' has non-finite")
+
+
+def test_train_divergence_or_a_killed_worker_raises_and_reaps(micro_train, tmp_path, monkeypatch):
+    # a loss gone non-finite raises in this process after the whole batch's
+    # logits are gathered; a worker killed while it recrops its rows is
+    # reported by its wait status; neither run leaves a checkpoint or child
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    diverging = dataclasses.replace(
+        micro_train,
+        checkpoint_dir=tmp_path / "diverged",
+        train=dataclasses.replace(micro_train.train, peak_lr=1e20, warmup_steps=1, dtype="float32"),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        _fails_and_reaps(diverging, TrainingDivergedError, "optimizer step")
+
+    parent, read_wav = os.getpid(), pipeline.read_wav
+
+    def killed(path, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read_wav(path, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_wav", killed)
+    config = dataclasses.replace(micro_train, checkpoint_dir=tmp_path / "killed")
+    _fails_and_reaps(config, RuntimeError, "forked process .* ended with wait status")

@@ -22,9 +22,10 @@ tree has, and exits 1 on any difference, 0 when all four runs match.
 With `--cpus` no revision is exported: the working tree runs the pipeline
 twice, once with every command pinned to one CPU (`os.sched_setaffinity` in
 the child before it starts) and once on all the CPUs this process may use,
-and the two runs are diffed the same way. Extraction and scoring split
-their work over one process per CPU, so this checks that the bytes do not
-depend on the split.
+and the two runs are diffed the same way. Extraction, scoring and each
+training step split their work over one process per CPU (the training
+config's batch of 4 gives each of 2 CPUs a share of 2 rows), so this checks
+that the bytes do not depend on the split.
 """
 
 from __future__ import annotations
