@@ -46,7 +46,7 @@ from .signal_io import (
     write_scores,
     write_text,
 )
-from .stft import log_magnitude, stft
+from .stft import frame_sources, log_magnitude, stft
 from .trainer import TrainResult, score_cache, train
 from .weighting import mean_weights_over_set
 
@@ -96,7 +96,10 @@ def extract_split(config: AppConfig, split: str, epoch: int = 0) -> FeatureCache
     The stacks are a `CacheRows` that extracts an utterance when its row is
     read: channel m is resolution m's map, average-pooled onto the (W, H)
     grid by `align_map`, and a row with a non-finite value stops the read
-    with the utterance named. No array of the whole split is built.
+    with the utterance named. No array of the whole split is built. Each
+    map of `frame_sources` is computed once per utterance, each of its
+    resolutions is aligned from its rows, and it is dropped before the next
+    one is computed.
     `epoch` selects the crop stream for the train split; extraction to disk
     always uses epoch 0, and per-epoch recropping reuses later streams.
     """
@@ -108,13 +111,17 @@ def extract_split(config: AppConfig, split: str, epoch: int = 0) -> FeatureCache
     entries = read_protocol(protocol)
     n_samples = sample_count(config.train.target_duration_s, config.corpus.sample_rate)
     w, h = config.align_target or max_grid(config.resolutions, n_samples)
+    sources = frame_sources(config.resolutions)
 
     def fill(out: np.ndarray, i: int) -> None:
         wave = read_wav(config.corpus_dir / entries[i].path, expect_sample_rate=config.corpus.sample_rate)
         rng = _crop_rng(config, epoch, i) if split == "train" else None
         wave = unify_length(wave, config.train.target_duration_s, rng)
-        for m, res in enumerate(config.resolutions):
-            out[m] = align_map(log_magnitude(stft(wave, res)), w, h)
+        for source, members in sources.items():
+            base = log_magnitude(stft(wave, source))
+            for m, step in members:
+                out[m] = align_map(base[::step], w, h)
+            del base  # keeps one source map alive at a time
         # a float64 sum of float32 values is finite exactly when every value is
         if not np.isfinite(out.sum(dtype=np.float64)):
             raise PipelineError(f"{split} utterance {entries[i].utt_id!r} has non-finite features")

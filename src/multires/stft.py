@@ -9,11 +9,16 @@ Conventions
   sides, frame ``t`` covers ``window_len`` padded samples starting at
   ``t * hop_len``, and the frame count is ``len(signal) // hop_len + 1``
 * log magnitude uses ``ln(max(|z|, 1e-10))`` so silence stays finite
+* two resolutions with one window and hops ``h`` and ``k*h`` frame the same
+  samples: frame ``t`` of the second starts where frame ``k*t`` of the first
+  does, so its map is rows ``0, k, 2k, ...`` of the first's, byte for byte
+  (:func:`frame_sources`)
 
 Nothing here is trainable. ``log_magnitude(stft(wave, res))`` is one
 resolution's (frames, bins) map as a plain float64 array;
-:func:`multires.pipeline.extract_split` aligns each map onto the split's grid
-(see :mod:`multires.alignment`) and caches the stacks to disk.
+:func:`multires.pipeline.extract_split` computes it once per source in
+:func:`frame_sources`, aligns every resolution's rows of it onto the split's
+grid (see :mod:`multires.alignment`) and caches the stacks to disk.
 """
 
 from __future__ import annotations
@@ -94,6 +99,27 @@ def _analysis_window(length: int) -> np.ndarray:
 
 def frame_count(n_samples: int, hop_len: int) -> int:
     return n_samples // hop_len + 1
+
+
+def frame_sources(resolutions: tuple[ResolutionSpec, ...]) -> dict[ResolutionSpec, list[tuple[int, int]]]:
+    """Each map to compute, with the ``(index, step)`` of every resolution read from it.
+
+    The source of a resolution is the one in `resolutions` with the same
+    window and the smallest hop that divides its hop (itself when no other
+    does); its map is every ``step``-th row of the source's, ``step`` being
+    the ratio of the hops. Such a slice has exactly ``frame_count`` rows, as
+    ``n // h + 1`` rows taken ``k`` apart are ``n // (k*h) + 1``. Sources
+    come in the order of their first member's index, and members in index
+    order.
+    """
+    sources: dict[ResolutionSpec, list[tuple[int, int]]] = {}
+    for m, res in enumerate(resolutions):
+        source = min(
+            (r for r in resolutions if r.window_len == res.window_len and res.hop_len % r.hop_len == 0),
+            key=lambda r: r.hop_len,
+        )
+        sources.setdefault(source, []).append((m, res.hop_len // source.hop_len))
+    return sources
 
 
 def stft(waveform: Waveform, resolution: ResolutionSpec) -> np.ndarray:

@@ -141,27 +141,56 @@ def test_extract_split_max_target(run_dir):
     _assert_channels(config, "dev", (63, 33))
 
 
+# 32/16 and 32/24 read every 2nd and 3rd row of the 32/8 map
+SHARED = "32/8,32/16,32/24,64/16"
+
+
+def test_extract_split_computes_one_map_per_window(run_dir, monkeypatch):
+    # each utterance runs the STFTs of 32/8 and 64/16 only, and every channel
+    # still equals its own resolution's map pooled onto the grid
+    tmp_path, _ = run_dir
+    calls = []
+
+    def counted(wave, res):
+        calls.append(res)
+        return stft(wave, res)
+
+    monkeypatch.setattr(pipeline, "stft", counted)
+    # 0.25 s at 2 kHz is 500 samples: 32/8 gives 63 frames, 64/16 gives 33 bins
+    for target, grid in (("16x17", (16, 17)), ("max", (63, 33))):
+        config = micro_config(tmp_path, **{"features.resolutions": SHARED, "alignment.target": target})
+        for split, epoch in (("dev", 0), ("train", 1)):
+            calls.clear()
+            _assert_channels(config, split, grid, epoch)
+            n = len(read_protocol(config.corpus_dir / f"{split}_protocol.tsv"))
+            assert calls == [ResolutionSpec(32, 8), ResolutionSpec(64, 16)] * n, (target, split)
+
+
 def test_extract_split_rejects_non_finite_features(run_dir, monkeypatch):
-    _, config = run_dir
+    tmp_path, config = run_dir
     entries = read_protocol(config.corpus_dir / "dev_protocol.tsv")
-    m = len(config.resolutions)
+    maps = 2  # log_magnitude calls per utterance in both configs below
     calls = []
 
     def poisoned(spectrum):
         out = log_magnitude(spectrum)
-        if len(calls) == 2 * m + 1:  # utterance 2, second resolution
+        if len(calls) == poison_at:  # utterance 2
             out[3, 4] = np.inf
-        if len(calls) == 3 * m:  # utterance 3, first resolution
+        if len(calls) == 3 * maps:  # utterance 3, first map
             out[:] = np.nan
         calls.append(out.shape)
         return out
 
     monkeypatch.setattr(pipeline, "log_magnitude", poisoned)
-    cache = extract_split(config, "dev")
-    with pytest.raises(PipelineError, match=f"dev utterance '{entries[2].utt_id}' has non-finite"):
-        cache.stacks[:]
-    # the read stops at the first bad utterance, not after the whole split
-    assert len(calls) == 2 * m + 2 < len(entries) * m
+    shared = micro_config(tmp_path, **{"features.resolutions": SHARED})
+    # utterance 2's second resolution, then its 32/8 map, which three channels read
+    for config, poison_at in ((config, 2 * maps + 1), (shared, 2 * maps)):
+        calls.clear()
+        cache = extract_split(config, "dev")
+        with pytest.raises(PipelineError, match=f"dev utterance '{entries[2].utt_id}' has non-finite"):
+            cache.stacks[:]
+        # the read stops at the first bad utterance, not after the whole split
+        assert len(calls) == 3 * maps < len(entries) * maps
 
 
 def test_failed_extract_leaves_no_cache_and_keeps_the_earlier_one(run_dir, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from multires.stft import (
     LOG_FLOOR,
     ResolutionSpec,
     frame_count,
+    frame_sources,
     hann_window,
     log_magnitude,
     next_pow2,
@@ -85,6 +86,52 @@ def test_stft_bit_exact_against_gathered_frames(text):
     want = np.fft.rfft(frames, n=res.n_fft, axis=1)
     assert got.shape == want.shape == (frame_count(x.size, res.hop_len), res.n_bins)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("window", [256, 2048, 400, 1724])  # two fill their FFT, two are zero-padded
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hop_multiple_reads_every_kth_frame_bit_exact(window, k):
+    # extraction computes one map per window and reads a resolution at hop
+    # k*h as every k-th row of the map at hop h; this pins that the rows are
+    # the same bytes, so a numpy or pocketfft change that transforms rows
+    # differently fails here instead of changing the caches
+    rng = np.random.default_rng(window + k)
+    coarse_frames = set()
+    for hop in (16, window // k):
+        fine, coarse = ResolutionSpec(window, hop), ResolutionSpec(window, k * hop)
+        first = -(-(fine.min_samples + 1) // (k * hop))  # least m with m*k*h - 1 >= min_samples
+        for multiple in (first, first + 6):
+            # lengths one below, at and one above a multiple of k*h
+            for n in (multiple * k * hop - 1, multiple * k * hop, multiple * k * hop + 1):
+                wave = Waveform(rng.standard_normal(n) * 0.3, 8000)
+                rows = log_magnitude(stft(wave, fine))[::k]
+                want = log_magnitude(stft(wave, coarse))
+                assert rows.shape[0] == want.shape[0] == frame_count(n, k * hop)
+                assert rows[: frame_count(n, k * hop)].tobytes() == want.tobytes(), (hop, n)
+                coarse_frames.add(want.shape[0])
+    assert 1 in coarse_frames  # a signal shorter than the coarse hop
+
+
+def test_frame_sources_share_a_window_at_dividing_hops():
+    grid = tuple(ResolutionSpec.parse(t) for t in GRID13.split(","))
+    sources = frame_sources(grid)
+    assert {str(r): members for r, members in sources.items()} == {
+        "512/64": [(0, 1), (1, 2)],
+        "1024/64": [(2, 1), (3, 2), (4, 4)],
+        "2048/64": [(5, 1), (6, 2), (7, 4), (8, 8)],
+        "400/160": [(9, 1)],
+        "1724/130": [(10, 1)],
+        "288/96": [(11, 1)],
+        "480/120": [(12, 1)],
+    }
+    # the smallest dividing hop is the source, whatever the order; a hop
+    # that no other hop of its window divides is its own source
+    res = tuple(ResolutionSpec.parse(t) for t in ("32/24", "64/16", "32/12", "32/8", "32/16"))
+    assert {str(r): members for r, members in frame_sources(res).items()} == {
+        "32/8": [(0, 3), (3, 1), (4, 2)],
+        "64/16": [(1, 1)],
+        "32/12": [(2, 1)],
+    }
 
 
 def test_hann_window_is_fresh_and_stft_keeps_its_own():

@@ -26,7 +26,7 @@ from multires.trainer import (
 )
 
 from oracles import adam_trace, central_difference
-from helpers import array_rows, counting_forks, fresh_run, micro_config, traced_peak
+from helpers import array_rows, counting_forks, fresh_run, micro_config
 
 RES = (ResolutionSpec(64, 16), ResolutionSpec(128, 32))
 SLIM = BackendConfig(stem_channels=4, stages=1, blocks_per_stage=1, se_reduction=2)
@@ -235,17 +235,32 @@ def test_score_cache_convention_and_chunking(monkeypatch):
         np.testing.assert_array_equal(full, score_cache(result.model, train_cache))
 
 
+# Measured in a fresh interpreter (see `helpers.traced_peak`).
+SCORING_PEAKS = """
+import json
+import numpy as np
+from helpers import array_rows, traced_peak
+from multires.backend import BackendConfig
+from multires.cache import FeatureCache
+from multires.model import init_model, model_forward
+from multires.stft import ResolutionSpec
+from multires.trainer import score_cache
+res = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
+model = init_model(res, BackendConfig(8, 3, 1, 4), np.random.default_rng(5))
+stacks = np.random.default_rng(6).standard_normal((8, 3, 64, 65)).astype(np.float32)
+cache = FeatureCache(res, array_rows(stacks), tuple(f"u{i}" for i in range(8)), np.arange(8) % 2)
+cached = traced_peak(lambda: model_forward(stacks.astype(np.float64), model))
+scoring = traced_peak(lambda: score_cache(model, cache))
+print(json.dumps([cached, scoring]))
+"""
+
+
 def test_score_cache_keeps_no_backward_cache():
     # scoring builds no backward cache and reads SCORE_BATCH = 2 rows per
     # forward: its peak is about 0.19 of one cached forward on the whole
     # batch (the two peaks were equal when scoring kept the caches, and
     # 8-row scoring without them read about 0.57)
-    res = (ResolutionSpec(128, 32), ResolutionSpec(256, 64), ResolutionSpec(512, 128))
-    model = init_model(res, BackendConfig(8, 3, 1, 4), np.random.default_rng(5))
-    stacks = np.random.default_rng(6).standard_normal((8, 3, 64, 65)).astype(np.float32)
-    cache = FeatureCache(res, array_rows(stacks), tuple(f"u{i}" for i in range(8)), np.arange(8) % 2)
-    cached = traced_peak(lambda: model_forward(stacks.astype(np.float64), model))
-    scoring = traced_peak(lambda: score_cache(model, cache))
+    cached, scoring = fresh_run(SCORING_PEAKS)
     assert scoring <= 0.28 * cached, f"scoring peak {scoring / cached:.2f}x the cached forward's"
 
 

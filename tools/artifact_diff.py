@@ -13,8 +13,10 @@ through `python -m multires` with one BLAS thread, the pipeline
 
 for four variants: float32 and float64, each with `alignment.target` fixed
 and with `max`. The corpus is longer than the training target, so the
-second epoch redraws its crops, and the maps are large enough that the
-convs cut them into several column blocks. Every file a run writes and
+second epoch redraws its crops, the maps are large enough that the
+convs cut them into several column blocks, and 32/16 is read from the 32/8
+map, as extraction reads every resolution from the map of its window at
+the smallest hop that divides its own. Every file a run writes and
 every command's stdout and exit code are hashed (sha256, read in 1 MiB
 chunks). The script prints each name whose hash differs or that only one
 tree has, and exits 1 on any difference, 0 when all four runs match.
@@ -52,7 +54,7 @@ corpus.duration_s = 0.4
 corpus.sample_rate = 2000
 corpus.spoof_synthesis = 64/16
 corpus.seed = 3
-features.resolutions = 32/8,48/12,64/16
+features.resolutions = 32/8,32/16,48/12,64/16
 train.epochs = 2
 train.batch_size = 4
 train.seed = 3
