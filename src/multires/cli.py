@@ -13,6 +13,7 @@ import sys
 
 from .config import ENV_CONFIG_VAR, AppConfig, ConfigError, default_config, load_config, with_seed
 from .corpus import SPLITS
+from .parallel import ForkedProcessError
 from .pipeline import (
     PipelineError,
     prune_report_path,
@@ -95,8 +96,13 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "inspect-weights":
             sys.stdout.write(weight_report(config, args.checkpoint))
         return 0
-    except (ConfigError, PipelineError, TrainingDivergedError, OSError, ValueError) as exc:
+    except (
+        ConfigError, PipelineError, TrainingDivergedError, ForkedProcessError, OSError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the allocation; a bare MemoryError names nothing
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -9,23 +9,32 @@ byte range of an open file (`cache.write_cache`). The shares are the
 serial ones cut at other points, so any result that depends only on its
 item is the same at any process count.
 
-`Workers(handle)` forks one process per CPU but this one, once, for work
-that comes in many rounds (`trainer.train`, one round per training step).
-Each worker answers the requests this process sends it, one at a time,
-with ``handle(request)``, and keeps what `handle` keeps between requests.
-Requests and answers travel pickled on a pair of pipes per worker.
+`Workers(handle, processes)` forks, once, one process per CPU but this
+one, and no more than `processes` - 1, for work that comes in many rounds
+(`trainer.train`, one round per training step, in as many shares as its
+batch allows). Each worker answers the requests this process sends it,
+one at a time, with ``handle(request)``, and keeps what `handle` keeps
+between requests. Requests and answers travel pickled on a pair of pipes
+per worker.
 
-A child reports a failure as its pickled exception on its pipe and leaves
-with ``os._exit``, so it never flushes a buffer or runs a cleanup it
-inherited from this process. `run_shares` reaps every child before it
-returns; if this process's own share fails, the children are killed
-first. `Workers.close` kills and reaps every worker, on any way out of its
+A child first hands back to the OS the free heap pages it inherited
+(glibc's ``malloc_trim``): `multires` tells malloc to keep freed pages, so
+that each step reuses the last one's, and a child that kept them would pay
+a copy-on-write copy for memory that neither process uses. A child reports
+a failure as its pickled exception on its pipe and leaves with
+``os._exit``, so it never flushes a buffer or runs a cleanup it inherited
+from this process. `run_shares` reaps every child before it returns; if
+this process's own share fails, the children are killed first.
+`Workers.close` kills and reaps every worker, on any way out of its
 ``with`` block. The error of the first failing share is raised, as it
-would be if the shares ran one after another in one process.
+would be if the shares ran one after another in one process; a child that
+ended without one (killed, say, by the OS when memory ran out) raises
+`ForkedProcessError`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
@@ -33,6 +42,10 @@ import threading
 from typing import BinaryIO, Callable
 
 Work = Callable[[int, int], None]
+
+
+class ForkedProcessError(RuntimeError):
+    """A forked child ended without reporting an error: killed, or exited early."""
 
 
 def workers() -> int:
@@ -56,12 +69,24 @@ def _portable(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
+def _trim_heap() -> None:
+    """Return the heap's free pages to the OS, where the C library is glibc."""
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    malloc_trim.argtypes = (ctypes.c_size_t,)
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
+
+
 def _fork(body: Callable[[BinaryIO], None], inherited: tuple[int, ...] = ()) -> tuple[int, int]:
     """Fork a child that runs body(pipe) and exits; returns its pid and the pipe's read end.
 
     `body` may write answers on `pipe`. If it fails, ``(False, exception)``
     follows them, pickled. The child first closes `inherited`, descriptors
-    of this process's other children that it must not hold open.
+    of this process's other children that it must not hold open, and trims
+    the free heap pages it inherited.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -77,6 +102,7 @@ def _fork(body: Callable[[BinaryIO], None], inherited: tuple[int, ...] = ()) -> 
     try:
         for fd in (read_fd, *inherited):
             os.close(fd)
+        _trim_heap()
         with open(write_fd, "wb") as pipe:
             try:
                 body(pipe)
@@ -89,10 +115,10 @@ def _fork(body: Callable[[BinaryIO], None], inherited: tuple[int, ...] = ()) -> 
         os._exit(status)
 
 
-def _reap(pid: int) -> RuntimeError | None:
+def _reap(pid: int) -> ForkedProcessError | None:
     """Wait for a child to end; the error it ended with, or None if it exited cleanly."""
     _, status = os.waitpid(pid, 0)
-    return RuntimeError(f"forked process {pid} ended with wait status {status}") if status else None
+    return ForkedProcessError(f"forked process {pid} ended with wait status {status}") if status else None
 
 
 def run_shares(n_items: int, work: Work) -> None:
@@ -144,21 +170,22 @@ def _serve(handle: Callable[[object], object], requests_fd: int, answers: Binary
 class Workers:
     """One forked process per CPU but this one, each answering requests with handle(request).
 
-    ``ask(i, request)`` sends worker i a request, and ``answer(i)`` waits
-    for its answer; a worker answers its requests in order. `answer`
-    raises the exception `handle` failed with, or RuntimeError for a worker
-    that ended without one. None is forked on one CPU or while another
-    thread runs. Use it in a ``with`` block: `close` kills and reaps every
-    worker, and a worker left without this process reads the end of its
-    requests and exits.
+    At most `processes` - 1 are forked: `processes` counts the processes a
+    round of work can use, this one included. ``ask(i, request)`` sends
+    worker i a request, and ``answer(i)`` waits for its answer; a worker
+    answers its requests in order. `answer` raises the exception `handle`
+    failed with, or `ForkedProcessError` for a worker that ended without
+    one. None is forked on one CPU or while another thread runs. Use it in
+    a ``with`` block: `close` kills and reaps every worker, and a worker
+    left without this process reads the end of its requests and exits.
     """
 
-    def __init__(self, handle: Callable[[object], object]) -> None:
+    def __init__(self, handle: Callable[[object], object], processes: int) -> None:
         self._pids: list[int] = []
         self._requests: list[BinaryIO] = []
         self._answers: list[BinaryIO] = []
         try:
-            for _ in range(workers() - 1):
+            for _ in range(min(workers(), processes) - 1):
                 read_fd, write_fd = os.pipe()
                 ours = (write_fd,) + tuple(f.fileno() for f in self._requests + self._answers)
                 try:
@@ -197,7 +224,7 @@ class Workers:
             ok, value = pickle.load(self._answers[index])
         except EOFError:
             pid, self._pids[index] = self._pids[index], 0
-            raise _reap(pid) or RuntimeError(f"forked process {pid} ended early") from None
+            raise _reap(pid) or ForkedProcessError(f"forked process {pid} ended early") from None
         if not ok:
             raise value
         return value

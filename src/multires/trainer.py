@@ -250,13 +250,15 @@ def train(
     cached ones.
 
     Each step runs on every CPU: `parallel.Workers` forks one worker per
-    CPU but this one before epoch 1, and each batch is cut into contiguous
-    shares of at least `MIN_SHARE_ROWS` rows, this process's first (a small
-    batch runs in fewer shares, down to one). Each process indexes the
-    train stacks with its share's slice of the permutation, so a cache
-    opened by `read_cache` is read from disk, and recropped stacks are
-    extracted, a share at a time; each runs the forward and, given its
-    rows of the whole batch's logit gradient, the backward of its rows.
+    CPU but this one before epoch 1 (none that a batch of
+    `config.batch_size` rows leaves without a share), and each batch is
+    cut into contiguous shares of at least `MIN_SHARE_ROWS` rows, this
+    process's first (a small batch runs in fewer shares, down to one).
+    Each process indexes the train stacks with its share's slice of the
+    permutation, so a cache opened by `read_cache` is read from disk, and
+    recropped stacks are extracted, a share at a time; each runs the
+    forward and, given its rows of the whole batch's logit gradient, the
+    backward of its rows.
     `reduction.reduce_grads` sums the gradient terms of all shares in
     batch order, so every step has the bits it has in one process.
 
@@ -278,7 +280,8 @@ def train(
     best_eer = np.inf
     best_model = None
     log_lines: list[str] = []
-    with Workers(_ShareStep(model, train_cache, reload_train, dtype)) as workers:
+    shares = max(1, config.batch_size // MIN_SHARE_ROWS)  # most shares a batch is cut into
+    with Workers(_ShareStep(model, train_cache, reload_train, dtype), shares) as workers:
         for epoch in range(1, config.epochs + 1):
             stacks = _epoch_stacks(train_cache, reload_train, epoch)
             if stacks.shape != train_cache.stacks.shape:

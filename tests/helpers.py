@@ -5,8 +5,9 @@ the file users run. `MICRO` is a seconds-long pipeline config for the CLI
 and pipeline tests. `array_rows` wraps an array as `FeatureCache` rows,
 `traced_peak` measures the memory one call allocates and `fresh_run` runs
 a measuring script in a new interpreter; `counting_forks` records the
-children `parallel` forks, and `reduced` turns the gradient terms of one
-backward pass into its gradients.
+children `parallel` forks, `reduced` turns the gradient terms of one
+backward pass into its gradients, and `toy_step` counts the page faults
+of one training step.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import numpy as np
 
 from multires.cache import CacheRows
 from multires.config import AppConfig, parse_config
+from multires.model import init_model, model_backward, model_forward, model_params
 from multires.reduction import reduce_grads
+from multires.trainer import TrainConfig, adam_step, cross_entropy_batch, init_optimizer
 
 TOY_CFG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
 
@@ -131,3 +134,30 @@ def counting_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", counted)
     return forks
+
+
+def toy_step():
+    """A call that runs one training step of a 4-row float32 share at the toy shape.
+
+    The model and input shape are `configs/toy.cfg`'s. Each call runs the
+    forward, loss, backward, gradient reduction and Adam step of the same
+    4 rows and returns the minor page faults (``ru_minflt``) this process
+    took meanwhile: the pages it wrote for the first time.
+    """
+    import resource  # Unix only
+
+    config = parse_config(TOY_CFG.read_text(encoding="utf-8"))
+    model = init_model(config.resolutions, config.backend, np.random.default_rng(0), np.float32)
+    params = model_params(model)
+    state = init_optimizer(params, TrainConfig(dtype="float32"))
+    rows = np.random.default_rng(1).standard_normal((4, len(config.resolutions), *config.align_target))
+    rows, labels = rows.astype(np.float32), np.array([0, 1, 0, 1])
+
+    def step() -> int:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        logits, cache = model_forward(rows, model)
+        _, d_logits = cross_entropy_batch(logits, labels)
+        adam_step(params, reduce_grads([model_backward(cache, d_logits)[1]]), state)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    return step

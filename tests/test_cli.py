@@ -1,4 +1,6 @@
 import os
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import multires
+from multires import parallel, pipeline
 from multires.cli import main
 from multires.trainer import TrainingDivergedError
 
@@ -216,6 +219,37 @@ def test_training_divergence_fails_cleanly(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss at optimizer step 2")
     assert "Traceback" not in err
+
+
+def test_killed_worker_or_out_of_memory_fails_cleanly(capsys, monkeypatch, tmp_path):
+    # a training worker killed while it recrops its rows in epoch 2 (as the
+    # OS kills a process when memory runs out), or memory running out in
+    # this process, ends the command with one line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_paths(MICRO, tmp_path))
+    monkeypatch.setenv("MULTIRES_CONFIG", str(cfg))
+    for command in (["gen-data"], ["extract"]):
+        assert main(command) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    parent, read_wav = os.getpid(), pipeline.read_wav
+
+    def killed(path, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read_wav(path, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_wav", killed)
+    assert main(["train"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: forked process \d+ ended with wait status 9\n", err), err
+
+    def exhausted(config, progress):
+        raise MemoryError("Unable to allocate 295. MiB for an array")
+
+    monkeypatch.setattr("multires.cli.run_train", exhausted)
+    assert main(["train"]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 295. MiB for an array\n"
 
 
 def test_unknown_command_exits_with_usage():

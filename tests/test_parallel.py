@@ -1,5 +1,6 @@
 import mmap
 import os
+import platform
 import re
 import signal
 import threading
@@ -13,7 +14,7 @@ from multires.cache import CacheRows, FeatureCache, write_cache
 from multires.signal_io import read_protocol, read_wav
 from multires.stft import log_magnitude
 
-from helpers import array_rows, counting_forks
+from helpers import array_rows, counting_forks, fresh_run, toy_step
 
 
 def _shared_calls(n_items: int):
@@ -181,7 +182,7 @@ def test_workers_answer_in_turn_and_are_reaped_on_every_exit(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return os.getpid(), len(seen)
 
-    with parallel.Workers(handle) as workers:
+    with parallel.Workers(handle, 3) as workers:
         assert len(workers) == len(forks) == 2
         for i in (0, 1):
             workers.ask(i, "a")
@@ -199,14 +200,56 @@ def test_workers_answer_in_turn_and_are_reaped_on_every_exit(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
     with pytest.raises(KeyError):
-        with parallel.Workers(handle) as workers:
+        with parallel.Workers(handle, 3) as workers:
             workers.ask(1, "a")
             raise KeyError("this process failed first")
     assert len(forks) == 4
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
+    # no more processes than a round can use, this one included, nor than CPUs
+    for processes, forked in ((2, 1), (1, 0), (9, 2)):
+        with parallel.Workers(handle, processes) as workers:
+            assert len(workers) == forked
+    assert len(forks) == 7
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    with parallel.Workers(handle) as workers:
+    with parallel.Workers(handle, 3) as workers:
         assert len(workers) == 0
-    assert len(forks) == 4
+    assert len(forks) == 7
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# With glibc's malloc, `multires` keeps freed pages, so each step writes
+# into the pages the last one freed. A step that faults in fresh pages
+# takes 2,500 to 3,000 faults; a few dozen leave room for the interpreter.
+GLIBC = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pages are kept by glibc's malloc only")
+STEP_FAULTS = 50
+STEP_FAULTS_SCRIPT = """
+import json
+import multires
+from helpers import toy_step
+step = toy_step()
+print(json.dumps([step() for _ in range(5)]))
+"""
+
+
+@GLIBC
+def test_training_steps_reuse_freed_pages():
+    # after two warm-up steps, a toy step in a fresh process reuses the pages
+    faults = fresh_run(STEP_FAULTS_SCRIPT)
+    assert max(faults[2:]) <= STEP_FAULTS, faults
+
+
+@GLIBC
+def test_worker_training_steps_reuse_freed_pages(monkeypatch):
+    # so does a forked `Workers` worker, which trimmed what it inherited
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    step = toy_step()
+    with parallel.Workers(lambda request: step(), 2) as workers:
+        assert len(workers) == 1
+        faults = []
+        for _ in range(5):
+            workers.ask(0, None)
+            faults.append(workers.answer(0))
+    assert max(faults[2:]) <= STEP_FAULTS, faults

@@ -413,7 +413,8 @@ def test_train_bitwise_at_any_worker_count(tmp_path, monkeypatch, dtype):
     # (one row at batch 2, three at 4, which run in one share), for train
     # stacks held in memory, read from disk, and redrawn every epoch; one
     # worker per CPU but this process is forked once per run, beside the
-    # dev scorers, and none on one CPU
+    # dev scorers, but none a batch leaves without a share (none at batch
+    # 2 or 3), and none on one CPU
     train_mem, dev = _caches(n_train=23, n_dev=8)
     write_cache(train_mem, tmp_path / "train.mrfe")
     base = train_mem.stacks[:]
@@ -434,7 +435,8 @@ def test_train_bitwise_at_any_worker_count(tmp_path, monkeypatch, dtype):
                 monkeypatch.setattr(parallel, "workers", lambda: workers)
                 got = _trained(train(cache, dev, cfg, SLIM, reload_train=reload))
                 assert got == want, (name, batch, workers)
-                assert len(forks) == workers - 1 + cfg.epochs * (min(workers, dev_chunks) - 1)
+                shares = max(1, batch // trainer.MIN_SHARE_ROWS)
+                assert len(forks) == min(workers, shares) - 1 + cfg.epochs * (min(workers, dev_chunks) - 1)
                 forks.clear()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
