@@ -1,34 +1,34 @@
 """Run work on every CPU, by fork: a range of items in shares, or a stream of requests.
 
-`run_shares(n, work)` cuts items ``0..n`` into one contiguous share per CPU
-this process may run on (`workers`, at most one share per item) and calls
-``work(start, stop)`` once per share. This process runs the first share
-and a forked child each other one, so `work` writes its results where
-every process sees them: a shared `mmap` (`trainer.score_cache`) or its own
-byte range of an open file (`cache.write_cache`). The shares are the
-serial ones cut at other points, so any result that depends only on its
-item is the same at any process count.
-
 `Workers(handle, processes)` forks, once, one process per CPU but this
-one, and no more than `processes` - 1, for work that comes in many rounds
-(`trainer.train`, one round per training step, in as many shares as its
-batch allows). Each worker answers the requests this process sends it,
-one at a time, with ``handle(request)``, and keeps what `handle` keeps
-between requests. Requests and answers travel pickled on a pair of pipes
-per worker.
+one, and no more than `processes` - 1, for work that comes in rounds.
+Each worker answers the requests this process sends it, one at a time,
+with ``handle(request)``, and keeps what `handle` keeps between requests.
+Requests and answers travel pickled on a pair of pipes per worker.
+`trainer.train` forks them once per run and sends one request per
+training step.
 
-A child first hands back to the OS the free heap pages it inherited
+`run_shares(n, work)` rides on `Workers`: it cuts items ``0..n`` into one
+contiguous share per CPU this process may run on (`workers`, at most one
+share per item), asks worker i for share i + 1, runs the first share
+itself, then waits for each worker's answer in share order. `work`
+writes its results where every process sees them: a shared `mmap`
+(`trainer.score_cache`) or its own byte range of an open file
+(`cache.write_cache`). The shares are the serial ones cut at other
+points, so any result that depends only on its item is the same at any
+process count.
+
+A worker first hands back to the OS the free heap pages it inherited
 (glibc's ``malloc_trim``): `multires` tells malloc to keep freed pages, so
-that each step reuses the last one's, and a child that kept them would pay
-a copy-on-write copy for memory that neither process uses. A child reports
-a failure as its pickled exception on its pipe and leaves with
+that each step reuses the last one's, and a worker that kept them would
+pay a copy-on-write copy for memory that neither process uses. A worker
+reports a failure as its pickled exception on its pipe and leaves with
 ``os._exit``, so it never flushes a buffer or runs a cleanup it inherited
-from this process. `run_shares` reaps every child before it returns; if
-this process's own share fails, the children are killed first.
-`Workers.close` kills and reaps every worker, on any way out of its
-``with`` block. The error of the first failing share is raised, as it
-would be if the shares ran one after another in one process; a child that
-ended without one (killed, say, by the OS when memory ran out) raises
+from this process. `Workers.close` kills and reaps every worker, on any
+way out of its ``with`` block, so no worker outlives `run_shares` or
+`train`. The error of the first failing share is raised, as it would be
+if the shares ran one after another in one process; a worker that ended
+without one (killed, say, by the OS when memory ran out) raises
 `ForkedProcessError`.
 """
 
@@ -45,7 +45,7 @@ Work = Callable[[int, int], None]
 
 
 class ForkedProcessError(RuntimeError):
-    """A forked child ended without reporting an error: killed, or exited early."""
+    """A forked worker ended without reporting an error: killed, or exited early."""
 
 
 def workers() -> int:
@@ -80,91 +80,19 @@ def _trim_heap() -> None:
     malloc_trim(0)
 
 
-def _fork(body: Callable[[BinaryIO], None], inherited: tuple[int, ...] = ()) -> tuple[int, int]:
-    """Fork a child that runs body(pipe) and exits; returns its pid and the pipe's read end.
-
-    `body` may write answers on `pipe`. If it fails, ``(False, exception)``
-    follows them, pickled. The child first closes `inherited`, descriptors
-    of this process's other children that it must not hold open, and trims
-    the free heap pages it inherited.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:
-        for fd in (read_fd, *inherited):
-            os.close(fd)
-        _trim_heap()
-        with open(write_fd, "wb") as pipe:
-            try:
-                body(pipe)
-                status = 0
-            except BaseException as exc:
-                pipe.write(pickle.dumps((False, _portable(exc))))
-    except OSError:  # the parent stopped reading: it failed first and is killing its children
-        pass
-    finally:
-        os._exit(status)
-
-
-def _reap(pid: int) -> ForkedProcessError | None:
-    """Wait for a child to end; the error it ended with, or None if it exited cleanly."""
-    _, status = os.waitpid(pid, 0)
-    return ForkedProcessError(f"forked process {pid} ended with wait status {status}") if status else None
-
-
 def run_shares(n_items: int, work: Work) -> None:
     """Call work(start, stop) over contiguous shares of items 0..n_items, one per worker.
 
-    This process runs the first share, a forked child each other one.
+    This process runs the first share, a `Workers` worker each other one.
     """
-    count = min(workers(), n_items)
-    if count <= 1:
-        work(0, n_items)
-        return
+    count = max(1, min(workers(), n_items))
     bounds = [share * n_items // count for share in range(count + 1)]
-    children: dict[int, int] = {}  # pid -> read end of its error pipe, until reaped
-    try:
-        for share in range(1, count):
-            pid, read_fd = _fork(lambda pipe, a=bounds[share], b=bounds[share + 1]: work(a, b))
-            children[pid] = read_fd
+    with Workers(lambda share: work(bounds[share], bounds[share + 1]), count) as pool:
+        for i in range(len(pool)):
+            pool.ask(i, i + 1)
         work(0, bounds[1])
-        errors = []
-        for pid, read_fd in list(children.items()):
-            with open(read_fd, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            ended = _reap(pid)
-            del children[pid]
-            os.close(read_fd)
-            errors.append(pickle.loads(payload)[1] if payload else ended)
-        failed = next((error for error in errors if error is not None), None)
-        if failed is not None:
-            raise failed
-    finally:
-        for pid, read_fd in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
-
-
-def _serve(handle: Callable[[object], object], requests_fd: int, answers: BinaryIO) -> None:
-    """Answer each pickled request with handle(request), until the requests end."""
-    with open(requests_fd, "rb") as requests:
-        while True:
-            try:
-                request = pickle.load(requests)
-            except EOFError:
-                return
-            pickle.dump((True, handle(request)), answers, pickle.HIGHEST_PROTOCOL)
-            answers.flush()
+        for i in range(len(pool)):
+            pool.answer(i)
 
 
 class Workers:
@@ -186,21 +114,51 @@ class Workers:
         self._answers: list[BinaryIO] = []
         try:
             for _ in range(min(workers(), processes) - 1):
-                read_fd, write_fd = os.pipe()
-                ours = (write_fd,) + tuple(f.fileno() for f in self._requests + self._answers)
-                try:
-                    pid, answers_fd = _fork(lambda pipe: _serve(handle, read_fd, pipe), ours)
-                except BaseException:
-                    os.close(write_fd)
-                    raise
-                finally:
-                    os.close(read_fd)
-                self._pids.append(pid)
-                self._requests.append(open(write_fd, "wb"))
-                self._answers.append(open(answers_fd, "rb"))
+                self._fork(handle)
         except BaseException:
             self.close()
             raise
+
+    def _fork(self, handle: Callable[[object], object]) -> None:
+        """Fork one worker that answers each pickled request with handle(request)."""
+        requests_r, requests_w = os.pipe()
+        answers_r, answers_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (requests_r, requests_w, answers_r, answers_w):
+                os.close(fd)
+            raise
+        if pid:
+            os.close(requests_r)
+            os.close(answers_w)
+            self._pids.append(pid)
+            self._requests.append(open(requests_w, "wb"))
+            self._answers.append(open(answers_r, "rb"))
+            return
+        status = 1
+        try:
+            os.close(requests_w)
+            os.close(answers_r)
+            for pipe in self._requests + self._answers:  # the other workers' pipes
+                pipe.close()
+            _trim_heap()
+            with open(requests_r, "rb") as requests, open(answers_w, "wb") as answers:
+                try:
+                    while True:
+                        try:
+                            request = pickle.load(requests)
+                        except EOFError:  # this process closed the pipe, or is gone
+                            break
+                        pickle.dump((True, handle(request)), answers, pickle.HIGHEST_PROTOCOL)
+                        answers.flush()
+                    status = 0
+                except BaseException as exc:
+                    pickle.dump((False, _portable(exc)), answers)
+        except OSError:  # this process stopped reading: it failed first and is killing its workers
+            pass
+        finally:
+            os._exit(status)
 
     def __len__(self) -> int:
         return len(self._pids)
@@ -224,7 +182,8 @@ class Workers:
             ok, value = pickle.load(self._answers[index])
         except EOFError:
             pid, self._pids[index] = self._pids[index], 0
-            raise _reap(pid) or ForkedProcessError(f"forked process {pid} ended early") from None
+            _, status = os.waitpid(pid, 0)
+            raise ForkedProcessError(f"forked process {pid} ended with wait status {status}") from None
         if not ok:
             raise value
         return value

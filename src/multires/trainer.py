@@ -12,10 +12,10 @@ Everything runs on every CPU, with the bits of one process. Scoring
 each process scores a contiguous share of the split's chunks and holds one
 chunk's activations. Training goes through `parallel.Workers`, forked once
 per `train` call: each step cuts its batch into contiguous shares of at
-least `MIN_SHARE_ROWS` rows, each process runs the forward and backward of
-its share, this one computes the loss on the gathered logits, and
-`reduction.reduce_grads` sums every share's gradient terms in the serial
-order before the Adam step.
+least `MIN_SHARE_ROWS` rows, and every process, this one included, runs
+the same `_ShareStep` on its share, one 2-row micro-share at a time, so it
+holds one micro-share's cache. `reduction.reduce_grads` sums every
+micro-share's gradient terms in the serial order before the Adam step.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .model import (
     model_params,
 )
 from .parallel import Workers, run_shares
-from .reduction import reduce_grads
+from .reduction import Term, reduce_grads
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
@@ -81,9 +81,15 @@ class TrainConfig:
         return np.dtype(DTYPES[self.dtype])
 
 
-def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean loss over a batch plus the gradient of that mean w.r.t. logits.
+def cross_entropy_batch(
+    logits: np.ndarray, labels: np.ndarray, batch_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row losses of some rows of a batch, and those rows of the gradient of the batch's mean loss.
 
+    `batch_rows` is the whole batch's row count, the n of the mean. A row's
+    loss and gradient depend on that row's logits alone, so rows cut from a
+    batch anywhere and gathered in batch order give the bits of one call on
+    the whole batch; the batch loss is ``losses.mean()`` over all its rows.
     Log-sum-exp stabilized, so saturated logits neither overflow nor NaN.
     """
     z = np.asarray(logits, dtype=np.float64)
@@ -94,7 +100,7 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, 
     losses = lse[:, 0] - z[np.arange(n), labels]
     grad = probs
     grad[np.arange(n), labels] -= 1.0
-    return float(losses.mean()), (grad / n).astype(logits.dtype, copy=False)
+    return losses, (grad / batch_rows).astype(logits.dtype, copy=False)
 
 
 def lr_at(step: int, peak_lr: float, warmup_steps: int) -> float:
@@ -200,35 +206,42 @@ def _share_bounds(n_rows: int, processes: int) -> list[int]:
     return [share * n_rows // count for share in range(count + 1)]
 
 
-def _epoch_stacks(train_cache: FeatureCache, reload_train, epoch: int):
-    return train_cache.stacks if reload_train is None or epoch < 2 else reload_train(epoch)
-
-
 class _ShareStep:
-    """A forked worker's part of each training step: the forward and backward of its share.
+    """One process's part of each training step: the losses and gradient terms of its share.
 
-    Its requests alternate. ``(epoch, rows, params)`` sets the model to the
-    caller's parameters, reads the rows of that epoch's train stacks (from
-    disk, or extracting them) and answers their logits; the logit
-    gradients of those rows then answer their gradient terms.
+    ``step((epoch, rows, params, batch_rows))`` sets the model to `params`,
+    reads `rows` of that epoch's train stacks (from disk, or extracting
+    them) and walks them in micro-shares of `MIN_SHARE_ROWS` rows, an odd
+    share ending in one of 3. Each micro-share runs the forward, its rows of
+    the loss of a `batch_rows`-row batch and the backward, and drops its
+    cache before the next one reads its rows. It answers the share's
+    per-row losses and each micro-share's gradient terms, in batch order.
+    `train` runs it on its own share, and each worker on the share it is
+    sent.
     """
 
     def __init__(self, model: Model, train_cache: FeatureCache, reload_train, dtype: np.dtype):
         self.model, self.dtype = model, dtype
         self.train_cache, self.reload_train = train_cache, reload_train
-        self.epoch, self.stacks, self.cache = 1, train_cache.stacks, None
+        self.labels = train_cache.labels.astype(np.int64)
+        self.epoch, self.stacks = 1, train_cache.stacks
 
-    def __call__(self, request):
-        if self.cache is not None:
-            cache, self.cache = self.cache, None
-            return model_backward(cache, request)[1]
-        epoch, rows, params = request
+    def __call__(self, request) -> tuple[np.ndarray, list[list[Term]]]:
+        epoch, rows, params, batch_rows = request
         for p, value in zip(model_params(self.model), params):
             p[...] = value
-        if epoch != self.epoch:
-            self.epoch, self.stacks = epoch, _epoch_stacks(self.train_cache, self.reload_train, epoch)
-        logits, self.cache = model_forward(self.stacks[rows].astype(self.dtype, copy=False), self.model)
-        return logits
+        if epoch != self.epoch and self.reload_train is not None:  # epoch >= 2
+            self.epoch, self.stacks = epoch, self.reload_train(epoch)
+            if self.stacks.shape != self.train_cache.stacks.shape:
+                raise ValueError("reloaded train stacks changed shape mid-run")
+        losses, terms = [], []
+        cuts = _share_bounds(len(rows), len(rows))
+        for micro in (rows[a:b] for a, b in zip(cuts, cuts[1:])):
+            logits, cache = model_forward(self.stacks[micro].astype(self.dtype, copy=False), self.model)
+            row_losses, d_logits = cross_entropy_batch(logits, self.labels[micro], batch_rows)
+            losses.append(row_losses)
+            terms.append(model_backward(cache, d_logits)[1])
+        return np.concatenate(losses), terms
 
 
 def train(
@@ -254,13 +267,16 @@ def train(
     `config.batch_size` rows leaves without a share), and each batch is
     cut into contiguous shares of at least `MIN_SHARE_ROWS` rows, this
     process's first (a small batch runs in fewer shares, down to one).
-    Each process indexes the train stacks with its share's slice of the
-    permutation, so a cache opened by `read_cache` is read from disk, and
-    recropped stacks are extracted, a share at a time; each runs the
-    forward and, given its rows of the whole batch's logit gradient, the
-    backward of its rows.
-    `reduction.reduce_grads` sums the gradient terms of all shares in
-    batch order, so every step has the bits it has in one process.
+    Every process runs `_ShareStep` on its share, with one request and one
+    answer per worker: it indexes the train stacks with its share's slice
+    of the permutation a micro-share at a time, so a cache opened by
+    `read_cache` is read from disk, and recropped stacks are extracted, two
+    or three rows at a time, and runs each micro-share's forward, loss rows
+    and backward. The batch loss is the mean of every row's loss in batch
+    order; a non-finite one raises `TrainingDivergedError` before the
+    gradients are reduced. `reduction.reduce_grads` sums the gradient terms
+    of all micro-shares in batch order, so every step has the bits it has
+    in one process.
 
     Emits one log line per epoch, `epoch<TAB>train_loss<TAB>dev_eer`, then
     `retained_epoch<TAB>k`.
@@ -274,19 +290,16 @@ def train(
         train_cache.resolutions, backend_config, np.random.default_rng([config.seed, 0]), dtype
     )
     state = init_optimizer(model_params(model), config)
-    labels = train_cache.labels.astype(np.int64)
     dev_labels = dev_cache.labels
     best_epoch = 0
     best_eer = np.inf
     best_model = None
     log_lines: list[str] = []
+    step = _ShareStep(model, train_cache, reload_train, dtype)
     shares = max(1, config.batch_size // MIN_SHARE_ROWS)  # most shares a batch is cut into
-    with Workers(_ShareStep(model, train_cache, reload_train, dtype), shares) as workers:
+    with Workers(step, shares) as workers:
         for epoch in range(1, config.epochs + 1):
-            stacks = _epoch_stacks(train_cache, reload_train, epoch)
-            if stacks.shape != train_cache.stacks.shape:
-                raise ValueError("reloaded train stacks changed shape mid-run")
-            perm = np.random.default_rng([config.seed, epoch]).permutation(len(labels))
+            perm = np.random.default_rng([config.seed, epoch]).permutation(train_cache.n_utterances)
             loss_sum = 0.0
             for start in range(0, len(perm), config.batch_size):
                 idx = perm[start : start + config.batch_size]
@@ -294,22 +307,17 @@ def train(
                 others = range(len(cuts) - 2)  # the workers with a share, worker i has share i + 1
                 params = model_params(model)
                 for i in others:
-                    workers.ask(i, (epoch, idx[cuts[i + 1] : cuts[i + 2]], params))
-                batch = stacks[idx[: cuts[1]]].astype(dtype, copy=False)  # indexing already copied
-                logits, fwd = model_forward(batch, model, keep_cache=True)
-                logits = np.concatenate([logits] + [workers.answer(i) for i in others])
-                loss, d_logits = cross_entropy_batch(logits, labels[idx])
+                    workers.ask(i, (epoch, idx[cuts[i + 1] : cuts[i + 2]], params, len(idx)))
+                answers = [step((epoch, idx[: cuts[1]], params, len(idx)))]
+                answers += [workers.answer(i) for i in others]
+                loss = float(np.concatenate([losses for losses, _ in answers]).mean())
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at optimizer step {state.step + 1} (epoch {epoch})"
                     )
-                for i in others:
-                    workers.ask(i, d_logits[cuts[i + 1] : cuts[i + 2]])
-                _, terms = model_backward(fwd, d_logits[: cuts[1]])
-                grads = reduce_grads([terms] + [workers.answer(i) for i in others])
-                adam_step(params, grads, state)
+                adam_step(params, reduce_grads([micro for _, terms in answers for micro in terms]), state)
                 loss_sum += loss * len(idx)
-            train_loss = loss_sum / len(labels)
+            train_loss = loss_sum / len(perm)
             dev_eer = eer_from_scores(score_cache(model, dev_cache), dev_labels)
             log_lines.append(f"{epoch}\t{train_loss:.6f}\t{dev_eer:.6f}")
             if progress is not None:

@@ -156,7 +156,7 @@ def toy_step():
     def step() -> int:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         logits, cache = model_forward(rows, model)
-        _, d_logits = cross_entropy_batch(logits, labels)
+        _, d_logits = cross_entropy_batch(logits, labels, len(labels))
         adam_step(params, reduce_grads([model_backward(cache, d_logits)[1]]), state)
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 

@@ -103,7 +103,7 @@ def test_training_step_peak_near_its_cache(dtype):
 
     def step():
         logits, cache = model_forward(x, model)
-        _, d_logits = cross_entropy_batch(logits, np.arange(4) % 2)
+        _, d_logits = cross_entropy_batch(logits, np.arange(4) % 2, 4)
         return reduced(*model_backward(cache, d_logits)[1])
 
     cached = traced_peak(lambda: model_forward(x, model))

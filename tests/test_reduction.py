@@ -72,7 +72,7 @@ def test_shares_of_a_batch_reduce_to_its_gradients(dtype):
     model = init_model(RES, BackendConfig(8, 3, 1, 4), np.random.default_rng(5), dtype)
     x = np.random.default_rng(6).standard_normal((7, 3, 32, 33)).astype(dtype)
     logits, cache = model_forward(x, model)
-    _, d_logits = cross_entropy_batch(logits, np.arange(7) % 2)
+    _, d_logits = cross_entropy_batch(logits, np.arange(7) % 2, 7)
     want = reduce_grads([model_backward(cache, d_logits)[1]])
     for cuts in ([0, 2, 7], [0, 5, 7], [0, 2, 4, 7], [0, 3, 5, 7]):
         shares = [model_forward(x[a:b], model) for a, b in zip(cuts, cuts[1:])]

@@ -58,8 +58,8 @@ LABELS = {1: np.array([1]), 5: np.array([0, 1, 1, 0, 1])}
 
 def test_cross_entropy_hand_values():
     for n, labels in LABELS.items():
-        loss, grad = cross_entropy_batch(np.zeros((n, 2)), labels)
-        assert loss == pytest.approx(np.log(2.0))
+        losses, grad = cross_entropy_batch(np.zeros((n, 2)), labels, n)
+        assert losses.mean() == pytest.approx(np.log(2.0))
         want = np.full((n, 2), 0.5 / n)
         want[np.arange(n), labels] = -0.5 / n
         np.testing.assert_allclose(grad, want, atol=1e-15)
@@ -68,11 +68,11 @@ def test_cross_entropy_hand_values():
 def test_cross_entropy_stable_at_extreme_logits():
     for n in LABELS:
         logits = np.tile([1000.0, -1000.0], (n, 1))
-        loss, grad = cross_entropy_batch(logits, np.zeros(n, dtype=np.int64))
-        assert loss == 0.0
+        losses, grad = cross_entropy_batch(logits, np.zeros(n, dtype=np.int64), n)
+        assert losses.mean() == 0.0
         np.testing.assert_allclose(grad, np.zeros((n, 2)), atol=1e-15)
-        loss, grad = cross_entropy_batch(logits, np.ones(n, dtype=np.int64))
-        assert loss == pytest.approx(2000.0)
+        losses, grad = cross_entropy_batch(logits, np.ones(n, dtype=np.int64), n)
+        assert losses.mean() == pytest.approx(2000.0)
         assert np.isfinite(grad).all()
 
 
@@ -82,9 +82,9 @@ def test_cross_entropy_gradient_finite_differences():
         z = rng.standard_normal((n, 2))
 
         def loss():
-            return cross_entropy_batch(z, labels)[0]
+            return cross_entropy_batch(z, labels, n)[0].mean()
 
-        _, grad = cross_entropy_batch(z, labels)
+        _, grad = cross_entropy_batch(z, labels, n)
         num = central_difference(loss, [z])[0]
         np.testing.assert_allclose(grad, num, rtol=1e-7, atol=1e-9)
 
@@ -95,8 +95,34 @@ def test_cross_entropy_batch_averages_singles():
     for n, labels in LABELS.items():
         logits = rng.standard_normal((n, 2))
         naive = np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(n), labels]
-        loss, _ = cross_entropy_batch(logits.copy(), labels)
-        assert loss == pytest.approx(naive.mean(), abs=1e-12)
+        losses, _ = cross_entropy_batch(logits.copy(), labels, n)
+        assert losses.mean() == pytest.approx(naive.mean(), abs=1e-12)
+
+
+def _cuts(n: int, smallest: int) -> list[list[int]]:
+    """Every cut of rows 0..n into consecutive pieces of at least `smallest` rows."""
+    if n == 0:
+        return [[0]]
+    return [[0] + [first + c for c in rest] for first in range(smallest, n + 1)
+            for rest in _cuts(n - first, smallest)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_micro_shares_give_the_batch_bits(dtype):
+    # any cut of a batch into micro-shares of 2 rows or more, each given the
+    # batch's row count, gathers to the whole batch's loss mean and gradient
+    rng = np.random.default_rng(2)
+    for n in (8, 9):
+        logits = (3 * rng.standard_normal((n, 2))).astype(dtype)
+        labels = rng.integers(0, 2, n)
+        losses, grad = cross_entropy_batch(logits, labels, n)
+        assert losses.dtype == np.float64 and grad.dtype == dtype
+        cuts = _cuts(n, trainer.MIN_SHARE_ROWS)
+        assert len(cuts) == {8: 13, 9: 21}[n]
+        for cut in cuts:
+            parts = [cross_entropy_batch(logits[a:b], labels[a:b], n) for a, b in zip(cut, cut[1:])]
+            assert np.concatenate([p[0] for p in parts]).mean().tobytes() == losses.mean().tobytes(), cut
+            assert np.concatenate([p[1] for p in parts]).tobytes() == grad.tobytes(), cut
 
 
 def test_lr_schedule_anchor_points():
@@ -401,6 +427,45 @@ def test_train_on_disk_cache_holds_batches_not_the_split(tmp_path):
         assert peak < split_bytes, f"peak {peak} B for a {split_bytes} B split at {workers} workers"
         assert same, workers
 
+# Peaks of one-process training on a toy-shaped in-memory cache, one
+# epoch of 16 rows at batch 4 and at batch 16, and the cache of one 2-row
+# forward, measured in a fresh interpreter (see `helpers.traced_peak`).
+BATCH_PEAKS = """
+import json
+import numpy as np
+from helpers import TOY_CFG, array_rows, traced_peak
+from multires import parallel
+from multires.cache import FeatureCache
+from multires.config import parse_config
+from multires.model import init_model, model_forward
+from multires.trainer import MIN_SHARE_ROWS, TrainConfig, train
+parallel.workers = lambda: 1
+config = parse_config(TOY_CFG.read_text(encoding="utf-8"))
+shape = (len(config.resolutions), *config.align_target)
+rng = np.random.default_rng(0)
+def split(n, prefix):
+    ids = tuple(f"{prefix}{i}" for i in range(n))
+    return FeatureCache(config.resolutions, array_rows(rng.standard_normal((n, *shape))), ids, np.arange(n) % 2)
+train_cache, dev_cache = split(16, "t"), split(2, "d")
+model = init_model(config.resolutions, config.backend, np.random.default_rng(0), np.float32)
+x = np.zeros((MIN_SHARE_ROWS, *shape), dtype=np.float32)
+out = {"micro": traced_peak(lambda: model_forward(x, model))}
+for batch in (4, 16):
+    cfg = TrainConfig(epochs=1, batch_size=batch, seed=0, warmup_steps=4, dtype="float32")
+    train(train_cache, dev_cache, cfg, config.backend)  # also fills one-time lazy state
+    out[batch] = traced_peak(lambda: train(train_cache, dev_cache, cfg, config.backend))
+print(json.dumps(out))
+"""
+
+
+def test_training_step_peak_does_not_grow_with_the_batch():
+    # each share runs as 2-row micro-shares that drop their cache before the
+    # next one, so a batch of 16 rows in one process peaks within one
+    # micro-share's cache of a batch of 4, not at 4 times its cache
+    peaks = fresh_run(BATCH_PEAKS)
+    assert abs(peaks["16"] - peaks["4"]) < peaks["micro"], peaks
+
+
 def _trained(result):
     """What a run must reproduce bit for bit: its log and every parameter's bytes."""
     return result.log_lines, [p.tobytes() for p in model_params(result.model)]
@@ -513,9 +578,11 @@ def test_train_failing_share_raises_its_error_and_reaps(micro_train, tmp_path, m
 
 
 def test_train_divergence_or_a_killed_worker_raises_and_reaps(micro_train, tmp_path, monkeypatch):
-    # a loss gone non-finite raises in this process after the whole batch's
-    # logits are gathered; a worker killed while it recrops its rows is
-    # reported by its wait status; neither run leaves a checkpoint or child
+    # a loss gone non-finite raises in this process once every share's row
+    # losses are gathered, after each share's backward has run on them (so
+    # the errstate covers the backward too); a worker killed while it
+    # recrops its rows is reported by its wait status; neither run leaves a
+    # checkpoint or child
     monkeypatch.setattr(parallel, "workers", lambda: 2)
     diverging = dataclasses.replace(
         micro_train,

@@ -25,9 +25,11 @@ With `--cpus` no revision is exported: the working tree runs the pipeline
 twice, once with every command pinned to one CPU (`os.sched_setaffinity` in
 the child before it starts) and once on all the CPUs this process may use,
 and the two runs are diffed the same way. Extraction, scoring and each
-training step split their work over one process per CPU (the training
-config's batch of 4 gives each of 2 CPUs a share of 2 rows), so this checks
-that the bytes do not depend on the split.
+training step split their work over one process per CPU, so this checks
+that the bytes do not depend on the split. The training config's batch of
+8 gives each of 2 CPUs a share of 4 rows, which it runs as two 2-row
+micro-shares, and its 14 rows leave a last batch of 6: a 3-row share
+each.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Relative paths, so both trees print the same `wrote ...` lines.
 CONFIG = """\
-corpus.n_train = 8
+corpus.n_train = 14
 corpus.n_dev = 4
 corpus.n_eval = 4
 corpus.duration_s = 0.4
@@ -56,7 +58,7 @@ corpus.spoof_synthesis = 64/16
 corpus.seed = 3
 features.resolutions = 32/8,32/16,48/12,64/16
 train.epochs = 2
-train.batch_size = 4
+train.batch_size = 8
 train.seed = 3
 train.warmup_steps = 4
 train.target_duration_s = 0.3
