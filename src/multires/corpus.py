@@ -10,7 +10,11 @@ what makes the per-resolution weighting observable at desk scale.
 
 Generation is a pure function of CorpusSpec: every utterance draws from its
 own `default_rng([seed, split, index])` stream, so outputs are byte-stable
-regardless of generation order.
+regardless of generation order, and so at any process count.
+`generate_corpus` shares the bona fide/spoof pairs of all splits out over
+every CPU; a process synthesizes bona fide i, writes it, writes its spoof
+from the same waveform and drops both, so it holds one pair at a time,
+whatever the size of the split.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .signal_io import Label, ProtocolEntry, Waveform, sample_count, write_protocol, write_wav
 from .stft import ResolutionSpec, hann_window
 
@@ -127,30 +132,39 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict[str, Path]:
 
     Each split holds ceil(n/2) bona fide and floor(n/2) spoof utterances;
     spoof j is the resynthesis of bona fide j, so every spoof has an emitted
-    source to compare against.
+    source to compare against. Pair i of a split is bona fide i and, where
+    the split has it, spoof i: the pairs of all splits are shared out over
+    the CPUs (`parallel.run_shares`), and the protocols are written once
+    every WAV is, so a protocol never names a missing file.
     """
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wav"
     n_samples = sample_count(spec.duration_s, spec.sample_rate)
-    protocols: dict[str, Path] = {}
-    for split_index, split in enumerate(SPLITS):
-        total = spec.split_size(split)
-        n_bona = (total + 1) // 2
-        entries: list[ProtocolEntry] = []
-        bona_waves: list[Waveform] = []
-        for i in range(n_bona):
+    pairs = [(s, i) for s, split in enumerate(SPLITS) for i in range((spec.split_size(split) + 1) // 2)]
+
+    def write_pairs(start: int, stop: int) -> None:
+        for split_index, i in pairs[start:stop]:
+            split = SPLITS[split_index]
             rng = _utterance_rng(spec.seed, split_index, i)
             wave = Waveform(synth_bonafide(n_samples, spec.sample_rate, rng), spec.sample_rate)
-            utt_id = f"{split}_b{i:04d}"
-            write_wav(wav_dir / f"{utt_id}.wav", wave)
-            entries.append(ProtocolEntry(utt_id, Label.BONAFIDE, f"wav/{utt_id}.wav"))
-            bona_waves.append(wave)
-        for j in range(total - n_bona):
-            spoof = resynthesize(bona_waves[j], spec.spoof_synthesis)
-            utt_id = f"{split}_s{j:04d}"
-            write_wav(wav_dir / f"{utt_id}.wav", spoof)
-            entries.append(ProtocolEntry(utt_id, Label.SPOOF, f"wav/{utt_id}.wav"))
+            write_wav(wav_dir / f"{split}_b{i:04d}.wav", wave)
+            if i < spec.split_size(split) // 2:
+                write_wav(wav_dir / f"{split}_s{i:04d}.wav", resynthesize(wave, spec.spoof_synthesis))
+
+    try:
+        parallel.run_shares(len(pairs), write_pairs)
+    except BaseException:
+        # a worker killed inside `atomic_write` leaves its temp file; all are reaped by now
+        for tmp in wav_dir.glob("*.tmp"):
+            tmp.unlink(missing_ok=True)
+        raise
+    protocols: dict[str, Path] = {}
+    for split in SPLITS:
+        total = spec.split_size(split)
+        n_bona = (total + 1) // 2
+        ids = [(f"{split}_b{i:04d}", Label.BONAFIDE) for i in range(n_bona)]
+        ids += [(f"{split}_s{j:04d}", Label.SPOOF) for j in range(total - n_bona)]
         path = out_dir / f"{split}_protocol.tsv"
-        write_protocol(entries, path)
+        write_protocol([ProtocolEntry(utt_id, label, f"wav/{utt_id}.wav") for utt_id, label in ids], path)
         protocols[split] = path
     return protocols

@@ -13,10 +13,10 @@ contiguous share per CPU this process may run on (`workers`, at most one
 share per item), asks worker i for share i + 1, runs the first share
 itself, then waits for each worker's answer in share order. `work`
 writes its results where every process sees them: a shared `mmap`
-(`trainer.score_cache`) or its own byte range of an open file
-(`cache.write_cache`). The shares are the serial ones cut at other
-points, so any result that depends only on its item is the same at any
-process count.
+(`trainer.score_cache`), its own byte range of an open file
+(`cache.write_cache`) or files of its own (`corpus.generate_corpus`).
+The shares are the serial ones cut at other points, so any result that
+depends only on its item is the same at any process count.
 
 A worker first hands back to the OS the free heap pages it inherited
 (glibc's ``malloc_trim``): `multires` tells malloc to keep freed pages, so

@@ -1,9 +1,12 @@
 import errno
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multires import signal_io
+from multires import parallel, signal_io
 from multires.corpus import (
     PEAK_AMPLITUDE,
     SPLITS,
@@ -14,6 +17,8 @@ from multires.corpus import (
 )
 from multires.signal_io import Label, Waveform, read_protocol, read_wav, write_wav
 from multires.stft import ResolutionSpec
+
+from helpers import counting_forks, fresh_run
 
 SMALL = CorpusSpec(
     n_train=5,
@@ -148,21 +153,104 @@ class _DiskFull:
         self.f.close()
 
 
-@pytest.mark.parametrize("failing", ["train_b0002.wav", "dev_protocol.tsv"])
+# Files written before each failure at one process, where the order is fixed:
+# bona fide i then spoof i, pair by pair and split by split, protocols last.
+WRITTEN_BEFORE = {"train_b0002.wav": 4, "eval_s0001.wav": 5 + 3 + 3, "dev_protocol.tsv": 5 + 3 + 4 + 1}
+
+
+@pytest.mark.parametrize("failing", ["train_b0002.wav", "eval_s0001.wav", "dev_protocol.tsv"])
 def test_generate_corpus_write_failing_midway_leaves_nothing_partial(tmp_path, monkeypatch, failing):
+    # at 2 processes or more, train_b0002 fails in the caller's share and
+    # eval_s0001 in a worker's, while the other processes may be mid-write
     def open_filling_up(path, mode):
         f = open(path, mode)
         return _DiskFull(f, 20) if str(path).endswith(failing + ".tmp") else f
 
     monkeypatch.setattr(signal_io, "open", open_filling_up, raising=False)
+    forks, many = counting_forks(monkeypatch), max(2, parallel.workers())
+    for processes in (1, many):
+        monkeypatch.setattr(parallel, "workers", lambda: processes)
+        out = tmp_path / str(processes)
+        with pytest.raises(OSError, match="No space left"):
+            generate_corpus(SMALL, out)
+        written = sorted(p.name for p in out.rglob("*") if p.is_file())
+        assert failing not in written
+        assert not [name for name in written if name.endswith(".tmp")]
+        # everything written before the failure is whole
+        for path in (out / "wav").iterdir():
+            assert read_wav(path).samples.size == 400
+        protocols = sorted(out.glob("*_protocol.tsv"))
+        for path in protocols:
+            assert len(read_protocol(path)) == 5
+        if failing.endswith(".wav"):  # no protocol names a WAV before every WAV is written
+            assert protocols == []
+        if processes == 1:
+            assert len(written) == WRITTEN_BEFORE[failing]
+    assert len(forks) == min(many, 7) - 1  # SMALL has 7 pairs
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_generate_corpus_removes_the_temp_file_of_a_killed_worker(tmp_path, monkeypatch):
+    # the caller's share fails while the worker holds dev_b0000.wav.tmp open;
+    # killing the worker leaves that temp file, and generate_corpus removes it
+    parent, held = os.getpid(), tmp_path / "wav" / "dev_b0000.wav.tmp"
+
+    def open_stalling(path, mode):
+        f = open(path, mode)
+        if os.getpid() != parent and Path(path) == held:
+            time.sleep(60)  # killed long before
+        if str(path).endswith("train_b0002.wav.tmp"):
+            deadline = time.monotonic() + 30
+            while not held.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert held.exists()
+            return _DiskFull(f, 20)
+        return f
+
+    monkeypatch.setattr(signal_io, "open", open_stalling, raising=False)
+    monkeypatch.setattr(parallel, "workers", lambda: 2)  # shares: train pairs, dev and eval pairs
     with pytest.raises(OSError, match="No space left"):
         generate_corpus(SMALL, tmp_path)
-    written = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
-    assert failing not in written
-    assert not [name for name in written if name.endswith(".tmp")]
-    # everything written before the failure is whole
-    for path in (tmp_path / "wav").iterdir():
-        assert read_wav(path).samples.size == 400
-    for path in tmp_path.glob("*_protocol.tsv"):
-        assert len(read_protocol(path)) == 5
-    assert len(written) == (2 if failing.endswith(".wav") else 5 + 1 + 3)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "train_b0000.wav", "train_b0001.wav", "train_s0000.wav", "train_s0001.wav", "wav"
+    ]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_generate_corpus_bytes_do_not_depend_on_the_process_count(tmp_path, monkeypatch):
+    forks = counting_forks(monkeypatch)
+    trees = {}
+    for processes in (1, 3):
+        monkeypatch.setattr(parallel, "workers", lambda: processes)
+        out = tmp_path / str(processes)
+        generate_corpus(SMALL, out)
+        assert len(forks) == min(processes, 3 + 2 + 2) - 1  # SMALL has 7 pairs
+        forks.clear()
+        trees[processes] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(trees[1]) == 5 + 3 + 4 + 3
+    assert trees[1] == trees[3]
+
+
+GEN_PEAKS = """
+import json, sys
+from pathlib import Path
+from helpers import traced_peak
+from multires import parallel
+from multires.corpus import CorpusSpec, generate_corpus
+
+parallel.workers = lambda: 1
+root = Path(sys.argv[1])
+generate_corpus(CorpusSpec(n_train=2, n_dev=2, n_eval=2), root / "warm")
+print(json.dumps([
+    traced_peak(lambda: generate_corpus(CorpusSpec(n_train=n, n_dev=2, n_eval=2), root / str(n)))
+    for n in (8, 64)
+]))
+"""
+
+
+def test_generate_corpus_peak_does_not_grow_with_the_split(tmp_path):
+    # one pair alive at a time: 64 train utterances peak where 8 do
+    peaks = fresh_run(GEN_PEAKS, str(tmp_path))
+    assert abs(peaks[1] - peaks[0]) < 2 * 8000 * 8, peaks  # 2 waveforms: 1.0 s at 8 kHz, float64

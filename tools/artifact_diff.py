@@ -24,12 +24,13 @@ tree has, and exits 1 on any difference, 0 when all four runs match.
 With `--cpus` no revision is exported: the working tree runs the pipeline
 twice, once with every command pinned to one CPU (`os.sched_setaffinity` in
 the child before it starts) and once on all the CPUs this process may use,
-and the two runs are diffed the same way. Extraction, scoring and each
-training step split their work over one process per CPU, so this checks
+and the two runs are diffed the same way. Generation, extraction, scoring
+and each training step split their work over one process per CPU, so this checks
 that the bytes do not depend on the split. The training config's batch of
 8 gives each of 2 CPUs a share of 4 rows, which it runs as two 2-row
 micro-shares, and its 14 rows leave a last batch of 6: a 3-row share
-each.
+each. Generation shares out bona fide/spoof pairs, and the eval split's
+5 utterances end in a bona fide one that has no spoof.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = """\
 corpus.n_train = 14
 corpus.n_dev = 4
-corpus.n_eval = 4
+corpus.n_eval = 5
 corpus.duration_s = 0.4
 corpus.sample_rate = 2000
 corpus.spoof_synthesis = 64/16
