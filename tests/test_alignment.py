@@ -3,7 +3,7 @@ import pytest
 
 from multires.alignment import align_map, max_grid, pool_bins
 from multires.signal_io import Waveform
-from multires.stft import ResolutionSpec, log_magnitude, stft
+from multires.stft import ResolutionSpec, frame_count, log_magnitude, stft
 
 from oracles import pool_2d, pool_2d_left_to_right
 
@@ -87,23 +87,65 @@ def test_pool_bit_exact_all_sizes_to_9x9(dtype):
                     _assert_pool_bit_exact(mat, w_out, h_out)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_pool_bit_exact_real_map_shapes(dtype):
-    # every map shape of the toy and grid resolutions at 1.0 s and 2.0 s, 8 kHz
-    rng = np.random.default_rng(8)
-    shapes = set()
-    for text in TOY_AND_GRID13.split(","):
-        res = ResolutionSpec.parse(text)
-        for n_samples in (8000, 16000):
-            shapes.add((n_samples // res.hop_len + 1, res.n_bins))
-    assert {(126, 1025), (251, 65), (63, 257)} <= shapes
-    for shape in sorted(shapes):
-        mat = rng.standard_normal(shape).astype(dtype) * 4.0 - 9.0
-        _assert_pool_bit_exact(mat, 128, 129)
-
-
 def _parse(text):
     return tuple(ResolutionSpec.parse(t) for t in text.split(","))
+
+
+# the toy config's max grid (toy at 1.0 s) and the default config's (GRID13 at 4.5 s)
+TOY_MAX, DEFAULT_MAX = (251, 257), (563, 1025)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pool_bit_exact_real_map_shapes(dtype):
+    # every map shape of the toy and grid resolutions at 1.0 s, 2.0 s and 4.5 s,
+    # 8 kHz, onto the fixed grid and both configs' max grids
+    assert max_grid(_parse(TOY), 8000) == TOY_MAX
+    assert max_grid(_parse(GRID13), 36000) == DEFAULT_MAX
+    rng = np.random.default_rng(8)
+    shapes = {
+        (frame_count(n_samples, res.hop_len), res.n_bins)
+        for res in _parse(TOY_AND_GRID13)
+        for n_samples in (8000, 16000, 36000)
+    }
+    assert {(126, 1025), (251, 65), (63, 257), (563, 1025), (282, 513)} <= shapes
+    for shape in sorted(shapes):
+        mat = rng.standard_normal(shape).astype(dtype) * 4.0 - 9.0
+        for target in ((128, 129), TOY_MAX, DEFAULT_MAX):
+            _assert_pool_bit_exact(mat, *target)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pool_bit_exact_random_sizes(dtype):
+    # seeded (n_in, n_out) pairs on both axes, from 4x downsampling to 12x
+    # upsampling, where many output bins share one input range; every third
+    # map is a strided view, as extraction passes every k-th row of a map
+    rng = np.random.default_rng(11)
+    ratios = np.array([0.25, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0, 8.0, 12.0])
+    seen = set()
+    for trial in range(150):
+        n_in = rng.integers(1, 40, size=2)
+        n_out = np.maximum(1, np.round(n_in * rng.choice(ratios, size=2)) + rng.integers(-1, 2, size=2))
+        seen |= {(axis, n_out[axis] >= 2 * n_in[axis], n_out[axis] >= 8 * n_in[axis]) for axis in (0, 1)}
+        step = 1 + 2 * (trial % 3 == 0)
+        base = rng.standard_normal((n_in[0] * step, n_in[1])).astype(dtype)
+        _assert_pool_bit_exact(base[::step], int(n_out[0]), int(n_out[1]))
+    assert {(0, True, True), (1, True, True), (0, True, False), (1, True, False)} <= seen
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("w_out, h_out", [(12, 9), (5, 9), (12, 4), (40, 9), (12, 30), (3, 33), (48, 2)])
+def test_align_map_returns_a_fresh_array_and_leaves_its_input(dtype, strided, w_out, h_out):
+    # the (12, 9) input is pooled on no axis, on one, or on both, down and up;
+    # the result is a new array of the input's dtype and the input keeps its bytes
+    base = np.random.default_rng(12).standard_normal((24 if strided else 12, 9)).astype(dtype)
+    mat = base[::2] if strided else base
+    before = base.tobytes()
+    got = align_map(mat, w_out, h_out)
+    assert got.dtype == dtype and got.shape == (w_out, h_out)
+    assert not np.shares_memory(got, base)
+    assert base.tobytes() == before
+    assert got.tobytes() == pool_2d_left_to_right(mat, w_out, h_out).tobytes()
 
 
 def test_max_grid_matches_stft_map_shapes():
