@@ -1,29 +1,25 @@
 """Reshape one resolution's log-STFT map onto the split's common grid.
 
-:func:`multires.pipeline.extract_split` writes ``align_map`` of every map
-straight into channel ``m`` of the utterance's ``(M, W, H)`` row when that
-row is read.  The grid is ``alignment.target`` or, for ``max``,
-:func:`max_grid`: the largest frame and bin counts over the resolutions,
-known from the sample count alone.
+:func:`multires.pipeline.extract_split` writes ``align_map`` of every map into
+channel ``m`` of an utterance's ``(M, W, H)`` row when that row is read.  The
+grid is ``alignment.target`` or, for ``max``, :func:`max_grid`: the largest
+frame and bin counts over the resolutions, known from the sample count alone.
 
-Alignment is adaptive average pooling: output bin ``i`` (of ``Out`` bins
-over ``In`` inputs) averages input indices
-``[floor(i*In/Out), ceil((i+1)*In/Out))``, applied to rows first, then
-columns; an axis that already has ``Out`` entries is left as it is.
-
-Pooling one axis follows a plan that is built once per ``(In, Out)`` pair and
-cached: the bin starts, the bin widths, and for each offset ``k >= 1`` the bins
-wider than ``k``.  The sums are vectorized over bins but still accumulate
-strictly left to right (``acc = in[start]``, then ``acc += in[start + k]`` for
-k = 1, 2, ...), and each sum is divided by its width in the input dtype, so
-results are bit-identical to a straightforward loop over the bin formula.  The
-column pass runs on a contiguous copy of the transposed row-pooled map.
+Alignment is adaptive average pooling, rows first, then columns: output bin
+``i`` of ``Out`` averages inputs ``[floor(i*In/Out), ceil((i+1)*In/Out))`` of
+``In``, and an axis that already has ``Out`` entries is left as it is.  A bin's
+sum runs strictly left to right (``acc = in[start]``, then ``acc += in[start
++ k]`` for k = 1, 2, ... over the bins wider than k) and is divided by its
+width in the input dtype, so results are bit-identical to a loop over the bin
+formula.  Plans are cached per ``(In, Out)`` pair.  Rows pool each distinct
+bin once, widest first, so each offset adds to leading rows, and one row
+gather orders and repeats them at the end; columns pool in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,39 +33,43 @@ def pool_bins(n_in: int, n_out: int) -> list[tuple[int, int]]:
     return [(i * n_in // n_out, -((-(i + 1) * n_in) // n_out)) for i in range(n_out)]
 
 
-@dataclass(frozen=True)
-class _PoolPlan:
+class _PoolPlan(NamedTuple):
     """Read-only index arrays for pooling n_in entries into n_out bins."""
 
-    starts: np.ndarray  # (n_out,) first input index of each bin
-    widths: np.ndarray  # (n_out,) input entries per bin
-    # one (wider, rows) pair per offset k = 1, 2, ...: the (n_out, 1) mask of
-    # bins wider than k, and start + k for each bin (clamped where masked out)
-    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+    starts: np.ndarray  # first input index of each bin
+    # per offset k = 1, 2, ...: start + k of the bins wider than k, and those bins
+    steps: tuple[tuple[np.ndarray, slice | np.ndarray], ...]
+    wide: slice | np.ndarray  # the bins wider than 1; a 1-wide bin is its own mean
+    widths: np.ndarray  # their widths
+    expand: np.ndarray  # the plan bin of each of the n_out output bins
 
 
 @lru_cache(maxsize=256)
-def _pool_plan(n_in: int, n_out: int) -> _PoolPlan:
-    starts, ends = np.array(pool_bins(n_in, n_out)).T
+def _pool_plan(n_in: int, n_out: int, gather: bool) -> _PoolPlan:
+    ranges = pool_bins(n_in, n_out)
+    kept = sorted(set(ranges), key=lambda r: (r[0] - r[1], r)) if gather else ranges  # widest first
+    index = {r: i for i, r in enumerate(kept)}
+    expand = np.array([index[r] for r in ranges])
+    starts, ends = np.array(kept).T
     widths = ends - starts
-    steps = tuple(
-        (_read_only((widths > k)[:, None]), _read_only(np.minimum(starts + k, n_in - 1)))
-        for k in range(1, int(widths.max()))
-    )
-    return _PoolPlan(_read_only(starts), _read_only(widths), steps)
+    # bins wider than k = 1 .. max width: the last is empty, and the first always exists
+    wider = [np.flatnonzero(widths > k) for k in range(1, widths.max() + 1)]
+    # as a slice where those bins lead (sorted, or all of them), so += adds in place
+    keys = [slice(len(b)) if gather or len(b) == len(widths) else b for b in wider]
+    steps = tuple((starts[b] + k, key) for k, (b, key) in enumerate(zip(wider[:-1], keys), 1))
+    plan = _PoolPlan(starts, steps, keys[0], widths[wider[0]], expand)
+    for a in (plan.starts, plan.widths, expand, *wider, *(rows for rows, _ in steps)):
+        a.flags.writeable = False
+    return plan
 
 
-def _pool_axis0(mat: np.ndarray, n_out: int) -> np.ndarray:
-    plan = _pool_plan(mat.shape[0], n_out)
-    acc = mat[plan.starts]
-    for wider, rows in plan.steps:
-        np.add(acc, mat[rows], out=acc, where=wider)
-    acc /= plan.widths.astype(mat.dtype)[:, None]
+def _pool(mat: np.ndarray, plan: _PoolPlan, axis: int) -> np.ndarray:
+    """A new array of each bin's mean of ``mat`` along ``axis`` (0 or 1)."""
+    lead = (slice(None),) * axis
+    acc = mat[lead + (plan.starts,)]
+    for rows, bins in plan.steps:
+        acc[lead + (bins,)] += mat[lead + (rows,)]
+    acc[lead + (plan.wide,)] /= np.expand_dims(plan.widths.astype(mat.dtype), 1 - axis)
     return acc
 
 
@@ -86,7 +86,8 @@ def align_map(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
     """Pool a float map to (w_out, h_out); rows first, then columns."""
     if mat.ndim != 2:
         raise ValueError("expected a 2-D map")
-    rows = mat if mat.shape[0] == w_out else _pool_axis0(mat, w_out)
-    if rows.shape[1] == h_out:
-        return rows.copy() if rows is mat else rows
-    return np.ascontiguousarray(_pool_axis0(np.ascontiguousarray(rows.T), h_out).T)
+    plan = _pool_plan(mat.shape[0], w_out, True)
+    out = mat if mat.shape[0] == w_out else _pool(mat, plan, 0)
+    if out.shape[1] != h_out:
+        out = _pool(out, _pool_plan(out.shape[1], h_out, False), 1)
+    return out[plan.expand]  # a new array, even where neither axis pools
