@@ -6,14 +6,12 @@ grid is ``alignment.target`` or, for ``max``, :func:`max_grid`: the largest
 frame and bin counts over the resolutions, known from the sample count alone.
 
 Alignment is adaptive average pooling, rows first, then columns: output bin
-``i`` of ``Out`` averages inputs ``[floor(i*In/Out), ceil((i+1)*In/Out))`` of
-``In``, and an axis that already has ``Out`` entries is left as it is.  A bin's
-sum runs strictly left to right (``acc = in[start]``, then ``acc += in[start
-+ k]`` for k = 1, 2, ... over the bins wider than k) and is divided by its
-width in the input dtype, so results are bit-identical to a loop over the bin
-formula.  Plans are cached per ``(In, Out)`` pair.  Rows pool each distinct
-bin once, widest first, so each offset adds to leading rows, and one row
-gather orders and repeats them at the end; columns pool in place.
+``i`` of ``Out`` averages inputs ``[floor(i*In/Out), ceil((i+1)*In/Out))``;
+an axis with ``Out`` entries already is left as it is.  Each bin sums strictly
+left to right and divides by its width in the input dtype, so the bits equal a
+loop over the bin formula.  Rows pool each distinct bin once, widest first so
+every ``+=`` adds to leading rows, and one gather orders and repeats them;
+columns pool in place on the row-pooled map.
 """
 
 from __future__ import annotations
@@ -88,6 +86,6 @@ def align_map(mat: np.ndarray, w_out: int, h_out: int) -> np.ndarray:
         raise ValueError("expected a 2-D map")
     plan = _pool_plan(mat.shape[0], w_out, True)
     out = mat if mat.shape[0] == w_out else _pool(mat, plan, 0)
-    if out.shape[1] != h_out:
+    if out.shape[1] != h_out:  # columns keep repeated bins: a gather back costs more
         out = _pool(out, _pool_plan(out.shape[1], h_out, False), 1)
     return out[plan.expand]  # a new array, even where neither axis pools
