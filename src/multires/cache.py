@@ -22,8 +22,10 @@ come from one `CacheRows`, which builds each utterance when it is indexed:
 from the utterance's WAV.  `write_cache` sizes the file from the header and
 hands the rows to `parallel.run_shares`: each process (one per CPU) builds
 its contiguous share of rows one at a time and writes each at its own
-offset, so no process holds the split.  Version 1 interleaved the ids with
-the payload and can no longer be read.
+offset, so no process holds the split.  `map_chunks` is the one
+forward-only pass over a split, `SCORE_BATCH` rows at a time on every CPU,
+behind both scoring and the mean gate weights.  Version 1 interleaved the
+ids with the payload and can no longer be read.
 """
 
 from __future__ import annotations
@@ -124,6 +126,23 @@ class FeatureCache:
     @property
     def n_utterances(self) -> int:
         return self.stacks.shape[0]
+
+
+def map_chunks(cache: FeatureCache, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """fn(rows) for each `SCORE_BATCH`-row chunk of `cache.stacks`, joined in row order.
+
+    `parallel.run_shares` shares the chunks out, one contiguous share per
+    CPU, and each process maps its chunks one at a time, so it holds one
+    chunk's rows and what `fn` builds from them. A result that depends only
+    on its rows is bitwise the same at any process count, and a failing row
+    raises its error as it would serially. An empty split gives an empty
+    float64 array.
+    """
+    def map_share(first: int, last: int) -> list[np.ndarray]:
+        return [fn(cache.stacks[i * SCORE_BATCH : (i + 1) * SCORE_BATCH]) for i in range(first, last)]
+
+    shares = run_shares(-(-cache.n_utterances // SCORE_BATCH), map_share)
+    return np.concatenate([part for share in shares for part in share]) if cache.n_utterances else np.empty(0)
 
 
 def _pwrite_row(fd: int, row: np.ndarray, offset: int) -> None:

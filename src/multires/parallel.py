@@ -1,20 +1,18 @@
-"""Run work on every CPU, by fork: a range of items in shares, or a stream of requests.
+"""Run work on every CPU, by fork: a range of items in shares, or rounds of requests.
 
 `Workers(handle, processes)` forks, once, one process per CPU but this
-one, and no more than `processes` - 1, for work that comes in rounds.
-Each worker answers the requests this process sends it, one at a time,
-with ``handle(request)``, and keeps what `handle` keeps between requests.
-Requests and answers travel pickled on a pair of pipes per worker.
-`trainer.train` forks them once per run and sends one request per
-training step.
+one, and no more than `processes` - 1, for work that comes in rounds. In
+a round, ``run(requests)``, this process answers the first request with
+``handle(request)`` and worker i request i + 1, each keeping what `handle`
+keeps between rounds, and the answers come back in request order, pickled
+on a pipe per worker. `trainer.train` runs one round per training step.
 
-`run_shares(n, work)` rides on `Workers`: it cuts items ``0..n`` into one
-contiguous share per CPU this process may run on (`workers`, at most one
-share per item), asks worker i for share i + 1, runs the first share
-itself, then waits for each worker's answer in share order. `work`
-writes its results where every process sees them: a shared `mmap`
-(`trainer.score_cache`), its own byte range of an open file
-(`cache.write_cache`) or files of its own (`corpus.generate_corpus`).
+`run_shares(n, work)` is one round of a `Workers` of its own: it cuts
+items ``0..n`` into one contiguous share per CPU this process may run on
+(`workers`, at most one share per item) and returns what `work` returned
+for each share, in share order: the scores or gate weights of
+`cache.map_chunks`, or nothing where `work` writes its own byte range of a
+file (`cache.write_cache`) or files of its own (`corpus.generate_corpus`).
 The shares are the serial ones cut at other points, so any result that
 depends only on its item is the same at any process count.
 
@@ -26,9 +24,9 @@ reports a failure as its pickled exception on its pipe and leaves with
 ``os._exit``, so it never flushes a buffer or runs a cleanup it inherited
 from this process. `Workers.close` kills and reaps every worker, on any
 way out of its ``with`` block, so no worker outlives `run_shares` or
-`train`. The error of the first failing share is raised, as it would be
-if the shares ran one after another in one process; a worker that ended
-without one (killed, say, by the OS when memory ran out) raises
+`train`. A round raises the error of its first failing request, as it
+would if the requests ran one after another in one process; a worker that
+ended without one (killed, say, by the OS when memory ran out) raises
 `ForkedProcessError`.
 """
 
@@ -39,9 +37,7 @@ import os
 import pickle
 import signal
 import threading
-from typing import BinaryIO, Callable
-
-Work = Callable[[int, int], None]
+from typing import BinaryIO, Callable, Sequence
 
 
 class ForkedProcessError(RuntimeError):
@@ -80,46 +76,40 @@ def _trim_heap() -> None:
     malloc_trim(0)
 
 
-def run_shares(n_items: int, work: Work) -> None:
-    """Call work(start, stop) over contiguous shares of items 0..n_items, one per worker.
+def run_shares(n_items: int, work: Callable[[int, int], object]) -> list:
+    """What work(start, stop) returns for each contiguous share of items 0..n_items, in share order.
 
     This process runs the first share, a `Workers` worker each other one.
     """
     count = max(1, min(workers(), n_items))
     bounds = [share * n_items // count for share in range(count + 1)]
     with Workers(lambda share: work(bounds[share], bounds[share + 1]), count) as pool:
-        for i in range(len(pool)):
-            pool.ask(i, i + 1)
-        work(0, bounds[1])
-        for i in range(len(pool)):
-            pool.answer(i)
+        return pool.run(range(count))
 
 
 class Workers:
     """One forked process per CPU but this one, each answering requests with handle(request).
 
     At most `processes` - 1 are forked: `processes` counts the processes a
-    round of work can use, this one included. ``ask(i, request)`` sends
-    worker i a request, and ``answer(i)`` waits for its answer; a worker
-    answers its requests in order. `answer` raises the exception `handle`
-    failed with, or `ForkedProcessError` for a worker that ended without
-    one. None is forked on one CPU or while another thread runs. Use it in
-    a ``with`` block: `close` kills and reaps every worker, and a worker
-    left without this process reads the end of its requests and exits.
+    round of work can use, this one included. `run` is one round. None is
+    forked on one CPU or while another thread runs. Use it in a ``with``
+    block: `close` kills and reaps every worker, and a worker left without
+    this process reads the end of its requests and exits.
     """
 
     def __init__(self, handle: Callable[[object], object], processes: int) -> None:
+        self._handle = handle
         self._pids: list[int] = []
         self._requests: list[BinaryIO] = []
         self._answers: list[BinaryIO] = []
         try:
             for _ in range(min(workers(), processes) - 1):
-                self._fork(handle)
+                self._fork()
         except BaseException:
             self.close()
             raise
 
-    def _fork(self, handle: Callable[[object], object]) -> None:
+    def _fork(self) -> None:
         """Fork one worker that answers each pickled request with handle(request)."""
         requests_r, requests_w = os.pipe()
         answers_r, answers_w = os.pipe()
@@ -150,7 +140,7 @@ class Workers:
                             request = pickle.load(requests)
                         except EOFError:  # this process closed the pipe, or is gone
                             break
-                        pickle.dump((True, handle(request)), answers, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump((True, self._handle(request)), answers, pickle.HIGHEST_PROTOCOL)
                         answers.flush()
                     status = 0
                 except BaseException as exc:
@@ -169,15 +159,26 @@ class Workers:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def ask(self, index: int, request: object) -> None:
+    def run(self, requests: Sequence[object]) -> list:
+        """handle(request) for 1 to ``len(self) + 1`` requests, the first here and request i + 1 in worker i.
+
+        Returns the answers in request order, or raises the first failing
+        request's error; the workers then serve no further round.
+        """
+        others = range(len(requests) - 1)
+        for i in others:
+            self._ask(i, requests[i + 1])
+        return [self._handle(requests[0])] + [self._answer(i) for i in others]
+
+    def _ask(self, index: int, request: object) -> None:
         try:
             pickle.dump(request, self._requests[index], pickle.HIGHEST_PROTOCOL)
             self._requests[index].flush()
         except BrokenPipeError:
-            self.answer(index)  # the worker is gone: raise what it ended with
+            self._answer(index)  # the worker is gone: raise what it ended with
             raise
 
-    def answer(self, index: int) -> object:
+    def _answer(self, index: int) -> object:
         try:
             ok, value = pickle.load(self._answers[index])
         except EOFError:

@@ -8,26 +8,26 @@ identical seeds reproduce logs and checkpoints byte for byte.
 
 Everything runs on every CPU, with the bits of one process. Scoring
 (`score_cache`, and so every dev pass and eval) goes through
-`parallel.run_shares`, the runner that also writes each extracted cache:
-each process scores a contiguous share of the split's chunks and holds one
-chunk's activations. Training goes through `parallel.Workers`, forked once
-per `train` call: each step cuts its batch into contiguous shares of at
-least `MIN_SHARE_ROWS` rows, and every process, this one included, runs
-the same `_ShareStep` on its share, one 2-row micro-share at a time, so it
-holds one micro-share's cache. `reduction.reduce_grads` sums every
-micro-share's gradient terms in the serial order before the Adam step.
+`cache.map_chunks`, the chunked forward pass that the mean gate weights
+also take: each process scores a contiguous share of the split's chunks,
+holds one chunk's activations and hands back its scores. Training goes
+through `parallel.Workers`, forked once per `train` call: each step is one
+`Workers.run` round that cuts its batch into contiguous shares of at least
+`MIN_SHARE_ROWS` rows, and every process, this one included, runs the same
+`_ShareStep` on its share, one 2-row micro-share at a time, so it holds
+one micro-share's cache. `reduction.reduce_grads` sums every micro-share's
+gradient terms in the serial order before the Adam step.
 """
 
 from __future__ import annotations
 
 import copy
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backend import BackendConfig
-from .cache import SCORE_BATCH, FeatureCache
+from .cache import FeatureCache, map_chunks
 from .metrics import eer_from_scores
 from .model import (
     Model,
@@ -36,7 +36,7 @@ from .model import (
     model_forward,
     model_params,
 )
-from .parallel import Workers, run_shares
+from .parallel import Workers
 from .reduction import Term, reduce_grads
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -151,40 +151,25 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: Optimize
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def _score_rows(model: Model, cache: FeatureCache, start: int, stop: int, scores: np.ndarray) -> None:
-    """scores[start:stop], one `SCORE_BATCH`-row forward at a time from `start`."""
-    dtype = model.backend.fc_weight.dtype
-    for first in range(start, stop, SCORE_BATCH):
-        chunk = cache.stacks[first : min(first + SCORE_BATCH, stop)].astype(dtype, copy=False)
-        logits, _ = model_forward(chunk, model, keep_cache=False)
-        scores[first : first + chunk.shape[0]] = (logits[:, 1] - logits[:, 0]).astype(np.float64)
-
-
 def score_cache(model: Model, cache: FeatureCache) -> np.ndarray:
     """Detection scores logit(bonafide) - logit(spoof) for every utterance.
 
     Forward only: `model_forward` runs with ``keep_cache=False``, so a chunk
     builds no backward cache and drops each activation once it is read.
-    Each chunk is the next `SCORE_BATCH` rows of `cache.stacks`, read from
-    disk or extracted only then. A score does not depend on the chunk it is
-    computed in (per-example conv blocks, einsum gates and head), so
-    `SCORE_BATCH` sets memory, not output.
-
-    `parallel.run_shares` cuts the chunks into up to one contiguous share
-    per CPU: this process scores the first share and a forked child each
-    other one, into a shared float64 buffer, so each process holds one
-    chunk's activations. The chunks and their forwards are the serial ones,
-    so the scores are bitwise the same at any process count, and a failing
-    row raises its error as it would serially.
+    `cache.map_chunks` reads the split a chunk at a time (from disk, or
+    extracted only then), on every CPU, and joins the chunks' float64
+    scores in row order. A score does not depend on the chunk it is
+    computed in (per-example conv blocks, einsum gates and head), so the
+    scores are bitwise the same at any chunk size and process count, and a
+    failing row raises its error as it would serially.
     """
-    n = cache.n_utterances
-    scores = np.frombuffer(mmap.mmap(-1, max(n, 1) * np.dtype(np.float64).itemsize), dtype=np.float64)[:n]
+    dtype = model.backend.fc_weight.dtype
 
-    def score_chunks(first: int, last: int) -> None:
-        _score_rows(model, cache, first * SCORE_BATCH, min(n, last * SCORE_BATCH), scores)
+    def scores(rows: np.ndarray) -> np.ndarray:
+        logits, _ = model_forward(rows.astype(dtype, copy=False), model, keep_cache=False)
+        return (logits[:, 1] - logits[:, 0]).astype(np.float64)
 
-    run_shares(-(-n // SCORE_BATCH), score_chunks)
-    return scores.copy()
+    return map_chunks(cache, scores)
 
 
 @dataclass
@@ -216,8 +201,8 @@ class _ShareStep:
     the loss of a `batch_rows`-row batch and the backward, and drops its
     cache before the next one reads its rows. It answers the share's
     per-row losses and each micro-share's gradient terms, in batch order.
-    `train` runs it on its own share, and each worker on the share it is
-    sent.
+    It is the `Workers` handle of `train`: each step's `Workers.run` runs
+    it here on the first share and in each worker on the share it is sent.
     """
 
     def __init__(self, model: Model, train_cache: FeatureCache, reload_train, dtype: np.dtype):
@@ -267,8 +252,8 @@ def train(
     `config.batch_size` rows leaves without a share), and each batch is
     cut into contiguous shares of at least `MIN_SHARE_ROWS` rows, this
     process's first (a small batch runs in fewer shares, down to one).
-    Every process runs `_ShareStep` on its share, with one request and one
-    answer per worker: it indexes the train stacks with its share's slice
+    Every process runs `_ShareStep` on its share, in one `Workers.run`
+    round per step: it indexes the train stacks with its share's slice
     of the permutation a micro-share at a time, so a cache opened by
     `read_cache` is read from disk, and recropped stacks are extracted, two
     or three rows at a time, and runs each micro-share's forward, loss rows
@@ -304,12 +289,8 @@ def train(
             for start in range(0, len(perm), config.batch_size):
                 idx = perm[start : start + config.batch_size]
                 cuts = _share_bounds(len(idx), len(workers) + 1)
-                others = range(len(cuts) - 2)  # the workers with a share, worker i has share i + 1
                 params = model_params(model)
-                for i in others:
-                    workers.ask(i, (epoch, idx[cuts[i + 1] : cuts[i + 2]], params, len(idx)))
-                answers = [step((epoch, idx[: cuts[1]], params, len(idx)))]
-                answers += [workers.answer(i) for i in others]
+                answers = workers.run([(epoch, idx[a:b], params, len(idx)) for a, b in zip(cuts, cuts[1:])])
                 loss = float(np.concatenate([losses for losses, _ in answers]).mean())
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cache import SCORE_BATCH, FeatureCache
+from .cache import FeatureCache, map_chunks
 from .excitation import ExcitationParams, bottleneck_weights
 
 
@@ -28,15 +28,13 @@ def mean_weights_over_set(cache: FeatureCache, params: ExcitationParams) -> np.n
     """Arithmetic mean of per-utterance predicted weights over a cached split.
 
     This is the per-resolution summary used for pruning and the
-    ``inspect-weights`` report. The split is read `SCORE_BATCH` rows at a
-    time; each utterance's weights land in one (N, M) float64 array that is
-    summed once, so the mean does not depend on the read size.
+    ``inspect-weights`` report. `cache.map_chunks` reads the split a chunk
+    at a time on every CPU and joins each utterance's weights into one
+    (N, M) float64 array, which is summed once, so the mean does not depend
+    on the chunk size or process count.
     """
     n = cache.n_utterances
     if n == 0:
         raise ValueError("cannot average weights over an empty split")
-    weights = np.empty((n, params.n_channels), dtype=np.float64)
-    for start in range(0, n, SCORE_BATCH):
-        _, scales, _ = bottleneck_weights(cache.stacks[start : start + SCORE_BATCH], params)
-        weights[start : start + len(scales)] = scales
+    weights = map_chunks(cache, lambda rows: bottleneck_weights(rows, params)[1].astype(np.float64))
     return weights.sum(axis=0) / n

@@ -14,31 +14,37 @@ from multires.cache import CacheRows, FeatureCache, write_cache
 from multires.signal_io import read_protocol, read_wav
 from multires.stft import log_magnitude
 
-from helpers import array_rows, counting_forks, fresh_run, toy_step
+from helpers import array_rows, counting_forks, fresh_run
 
 
 def _shared_calls(n_items: int):
-    """A work function that counts the runs of each item in memory a forked child shares."""
+    """A work function that counts the runs of each item in memory a forked child shares.
+
+    It returns its share and the id of the process that ran it.
+    """
     seen = np.frombuffer(mmap.mmap(-1, max(n_items, 1)), dtype=np.uint8)[:n_items]
     calls = []
 
     def work(start, stop):
         calls.append((start, stop))
         seen[start:stop] += 1
+        return start, stop, os.getpid()
 
     return work, calls, seen
 
 
 def test_runner_forks_one_share_per_cpu(monkeypatch):
     # with 4 CPUs, 5 items go out as shares [0,1) here and [1,2), [2,3), [3,5)
-    # in three children; each item runs exactly once
+    # in three children; each item runs exactly once, and each share's
+    # result comes back in share order
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     assert parallel.workers() == 4
     forks = counting_forks(monkeypatch)
     work, calls, seen = _shared_calls(5)
-    parallel.run_shares(5, work)
+    results = parallel.run_shares(5, work)
     assert calls == [(0, 1)]
     assert len(forks) == 3
+    assert results == [(0, 1, os.getpid()), (1, 2, forks[0]), (2, 3, forks[1]), (3, 5, forks[2])]
     assert seen.tolist() == [1] * 5
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -53,12 +59,12 @@ def test_runner_forks_nothing_for_one_cpu_one_item_or_a_thread(monkeypatch):
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert parallel.workers() == 1
         work, calls, _ = _shared_calls(4)
-        parallel.run_shares(4, work)
+        assert parallel.run_shares(4, work) == [(0, 4, os.getpid())]
         assert calls == [(0, 4)]
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     work, calls, _ = _shared_calls(1)
-    parallel.run_shares(1, work)
+    assert parallel.run_shares(1, work) == [(0, 1, os.getpid())]
     assert calls == [(0, 1)]
 
     release = threading.Event()
@@ -166,58 +172,75 @@ def test_extract_failure_raises_reaps_and_keeps_the_earlier_cache(micro_eval, tm
 
 
 def test_workers_answer_in_turn_and_are_reaped_on_every_exit(monkeypatch):
-    # with 3 CPUs two workers are forked once; each answers its requests in
-    # order and keeps state between them. A failing handle's error is raised
-    # by `answer`, a killed worker is named by its wait status, and leaving
-    # the block, also by an exception, kills and reaps every worker
+    # with 3 CPUs two workers are forked once; a round runs its first
+    # request here and request i + 1 in worker i, and returns the answers in
+    # request order, each process keeping its state between rounds. A round
+    # raises the first failing request's error, a killed worker is named by
+    # its wait status, and leaving the block, also by an exception, kills
+    # and reaps every worker
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     forks = counting_forks(monkeypatch)
+    parent = os.getpid()
     seen = []
 
     def handle(request):
         seen.append(request)
-        if request == "fail":
-            raise ValueError(f"failed after {seen[:-1]}")
-        if request == "die":
+        if request.startswith("fail"):
+            raise ValueError(f"{request} after {seen[:-1]}")
+        if request == "die" and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return os.getpid(), len(seen)
 
+    def reaped():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     with parallel.Workers(handle, 3) as workers:
         assert len(workers) == len(forks) == 2
-        for i in (0, 1):
-            workers.ask(i, "a")
-        assert [workers.answer(i) for i in (0, 1)] == [(pid, 1) for pid in forks]
-        workers.ask(0, "b")
-        assert workers.answer(0) == (forks[0], 2)
-        workers.ask(1, "fail")
-        with pytest.raises(ValueError, match=re.escape("failed after ['a']")):
-            workers.answer(1)
-        workers.ask(0, "die")
-        with pytest.raises(RuntimeError, match="forked process .* ended with wait status"):
-            workers.answer(0)
-    assert seen == []  # every request ran in a worker
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        assert workers.run(["a", "a", "a"]) == [(parent, 1)] + [(pid, 1) for pid in forks]
+        assert workers.run(["b", "b"]) == [(parent, 2), (forks[0], 2)]
+        assert workers.run(["c"]) == [(parent, 3)]
+        # worker 0 has run a and b, worker 1 only a; the first failure wins
+        with pytest.raises(ValueError, match=re.escape("fail1 after ['a', 'b']")):
+            workers.run(["d", "fail1", "fail2"])
+    assert seen == ["a", "b", "c", "d"]
+    reaped()
 
+    seen.clear()  # before the fork, so the next workers start empty too
+    with parallel.Workers(handle, 3) as workers:
+        with pytest.raises(ValueError, match=re.escape("fail2 after []")):
+            workers.run(["a", "a", "fail2"])
+    reaped()
+
+    with pytest.raises(RuntimeError, match="forked process .* ended with wait status"):
+        with parallel.Workers(handle, 3) as workers:
+            workers.run(["a", "die", "a"])
+    reaped()
+
+    # this process fails first, mid-round or between rounds
+    with pytest.raises(ValueError, match="fail0 after"):
+        with parallel.Workers(handle, 3) as workers:
+            workers.run(["fail0", "die", "a"])
+    reaped()
     with pytest.raises(KeyError):
         with parallel.Workers(handle, 3) as workers:
-            workers.ask(1, "a")
+            workers.run(["a", "a", "a"])
             raise KeyError("this process failed first")
-    assert len(forks) == 4
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 10
+    reaped()
 
     # no more processes than a round can use, this one included, nor than CPUs
     for processes, forked in ((2, 1), (1, 0), (9, 2)):
         with parallel.Workers(handle, processes) as workers:
             assert len(workers) == forked
-    assert len(forks) == 7
+    assert len(forks) == 13
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    seen.clear()
     with parallel.Workers(handle, 3) as workers:
         assert len(workers) == 0
-    assert len(forks) == 7
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        assert workers.run(["z"]) == [(parent, 1)]
+    assert len(forks) == 13
+    reaped()
 
 
 # With glibc's malloc, `multires` keeps freed pages, so each step writes
@@ -232,6 +255,21 @@ from helpers import toy_step
 step = toy_step()
 print(json.dumps([step() for _ in range(5)]))
 """
+# The caller runs its own steps before the fork, so the worker inherits
+# freed pages to trim; then each round runs one step here and one in it.
+WORKER_STEP_FAULTS_SCRIPT = """
+import json
+import os
+import multires
+from multires import parallel
+from helpers import toy_step
+step = toy_step()
+[step() for _ in range(3)]
+os.sched_getaffinity = lambda pid: {0, 1}
+with parallel.Workers(lambda request: step(), 2) as workers:
+    assert len(workers) == 1
+    print(json.dumps([workers.run([None, None])[1] for _ in range(5)]))
+"""
 
 
 @GLIBC
@@ -242,14 +280,9 @@ def test_training_steps_reuse_freed_pages():
 
 
 @GLIBC
-def test_worker_training_steps_reuse_freed_pages(monkeypatch):
-    # so does a forked `Workers` worker, which trimmed what it inherited
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    step = toy_step()
-    with parallel.Workers(lambda request: step(), 2) as workers:
-        assert len(workers) == 1
-        faults = []
-        for _ in range(5):
-            workers.ask(0, None)
-            faults.append(workers.answer(0))
+def test_worker_training_steps_reuse_freed_pages():
+    # so does a forked `Workers` worker, which trimmed what it inherited,
+    # measured in a fresh process: in a long-lived one the caller's heap
+    # history moved the worker's readings
+    faults = fresh_run(WORKER_STEP_FAULTS_SCRIPT)
     assert max(faults[2:]) <= STEP_FAULTS, faults

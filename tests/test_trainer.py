@@ -1,5 +1,6 @@
 
 import dataclasses
+import itertools
 import os
 import re
 import signal
@@ -11,7 +12,7 @@ import pytest
 
 from multires import parallel, pipeline, trainer
 from multires.backend import BackendConfig
-from multires.cache import CacheRows, FeatureCache, read_cache, write_cache
+from multires.cache import SCORE_BATCH, CacheRows, FeatureCache, read_cache, write_cache
 from multires.model import init_model, model_backward, model_forward, model_params
 from multires.stft import ResolutionSpec
 from multires.trainer import (
@@ -24,6 +25,7 @@ from multires.trainer import (
     score_cache,
     train,
 )
+from multires.weighting import mean_weights_over_set
 
 from oracles import adam_trace, central_difference
 from helpers import array_rows, counting_forks, fresh_run, micro_config
@@ -254,11 +256,17 @@ def test_score_cache_convention_and_chunking(monkeypatch):
     train_cache, _ = _caches(n_train=10)
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0, warmup_steps=8)
     result = train(train_cache, _caches()[1], cfg, SLIM)
-    monkeypatch.setattr(trainer, "SCORE_BATCH", 64)
+    monkeypatch.setattr("multires.cache.SCORE_BATCH", 64)
     full = score_cache(result.model, train_cache)
     for batch_size in (3, 1):
-        monkeypatch.setattr(trainer, "SCORE_BATCH", batch_size)
+        monkeypatch.setattr("multires.cache.SCORE_BATCH", batch_size)
         np.testing.assert_array_equal(full, score_cache(result.model, train_cache))
+    # an empty split has no chunk to score: an empty float64 array, and nothing forked
+    forks = counting_forks(monkeypatch)
+    empty = FeatureCache(RES, array_rows(np.zeros((0, 2, 6, 5))), (), np.zeros(0, dtype=np.uint8))
+    scores = score_cache(result.model, empty)
+    assert scores.shape == (0,) and scores.dtype == np.float64
+    assert forks == []
 
 
 # Measured in a fresh interpreter (see `helpers.traced_peak`).
@@ -292,28 +300,33 @@ def test_score_cache_keeps_no_backward_cache():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_score_cache_bitwise_at_any_worker_count(micro_eval, monkeypatch, dtype):
-    # shares of contiguous chunks, scored in forked children, give the bytes
-    # of one process at every chunk size, also with more workers than CPUs
-    # or chunks, for rows extracted on demand and rows read from disk
+    # shares of contiguous chunks, scored (or gate-weighted) in forked
+    # children, give the bytes of one process at every chunk size, also with
+    # more workers than CPUs or chunks, for rows extracted on demand and rows
+    # read from disk
     config = micro_eval
     model = init_model(config.resolutions, config.backend, np.random.default_rng(4), dtype)
     sources = {
         "extracted": pipeline.extract_split(config, "eval"),
         "read": pipeline.load_split_cache(config, "eval"),
     }
+    passes = {
+        "scores": lambda cache: score_cache(model, cache),
+        "weights": lambda cache: mean_weights_over_set(cache, model.predictor),
+    }
     assert sources["read"].n_utterances == 7
     forks = counting_forks(monkeypatch)
     for batch in (1, 2, 3):
-        monkeypatch.setattr(trainer, "SCORE_BATCH", batch)
+        monkeypatch.setattr("multires.cache.SCORE_BATCH", batch)
         n_chunks = -(-7 // batch)
-        for name, cache in sources.items():
+        for (name, cache), (what, run) in itertools.product(sources.items(), passes.items()):
             monkeypatch.setattr(parallel, "workers", lambda: 1)
-            want = score_cache(model, cache)
+            want = run(cache)
             assert forks == []
             for workers in (2, 5):
                 monkeypatch.setattr(parallel, "workers", lambda: workers)
-                got = score_cache(model, cache)
-                assert got.tobytes() == want.tobytes(), (name, batch, workers)
+                got = run(cache)
+                assert got.tobytes() == want.tobytes(), (name, what, batch, workers)
                 assert len(forks) == min(workers, n_chunks) - 1
                 forks.clear()
     with pytest.raises(ChildProcessError):
@@ -334,24 +347,17 @@ def _failing_rows(cache: FeatureCache, failing: dict[int, str]) -> FeatureCache:
 
 def test_score_cache_failure_raises_and_reaps(micro_eval, monkeypatch):
     # a failing row in a child's share or in this process's own share raises
-    # that row's error (the first one, as serially), and no child is left
-    # running or unreaped; a child that dies without a word is reported too
+    # that row's error (the first one, as serially), for scores and for gate
+    # weights, and no child is left running or unreaped; a child that dies
+    # without a word is reported too
     config = micro_eval
     model = init_model(config.resolutions, config.backend, np.random.default_rng(4))
     cache = pipeline.load_split_cache(config, "eval")
-    monkeypatch.setattr(trainer, "SCORE_BATCH", 1)
+    passes = (lambda c: score_cache(model, c), lambda c: mean_weights_over_set(c, model.predictor))
+    monkeypatch.setattr("multires.cache.SCORE_BATCH", 1)
     monkeypatch.setattr(parallel, "workers", lambda: 2)  # shares rows 0-2 and 3-6
     forks = counting_forks(monkeypatch)
     message = "eval utterance {!r} has non-finite features".format
-    for rows in ((5,), (1,), (1, 5), (5, 6)):
-        failing = _failing_rows(cache, {row: message(cache.ids[row]) for row in rows})
-        with pytest.raises(pipeline.PipelineError, match=re.escape(message(cache.ids[rows[0]]))):
-            score_cache(model, failing)
-        assert len(forks) == 1
-        forks.clear()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     parent = os.getpid()
 
     def killed(out, n):
@@ -359,11 +365,22 @@ def test_score_cache_failure_raises_and_reaps(micro_eval, monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         out[...] = 0.0
 
-    with pytest.raises(RuntimeError, match="forked process .* ended with wait status"):
-        score_cache(model, FeatureCache(cache.resolutions, CacheRows(cache.stacks.shape, killed), cache.ids, cache.labels))
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for run in passes:
+        for rows in ((5,), (1,), (1, 5), (5, 6)):
+            failing = _failing_rows(cache, {row: message(cache.ids[row]) for row in rows})
+            with pytest.raises(pipeline.PipelineError, match=re.escape(message(cache.ids[rows[0]]))):
+                run(failing)
+            assert len(forks) == 1
+            forks.clear()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+        with pytest.raises(RuntimeError, match="forked process .* ended with wait status"):
+            run(FeatureCache(cache.resolutions, CacheRows(cache.stacks.shape, killed), cache.ids, cache.labels))
+        assert len(forks) == 1
+        forks.clear()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -489,7 +506,7 @@ def test_train_bitwise_at_any_worker_count(tmp_path, monkeypatch, dtype):
         "recrop": (train_mem, lambda epoch: array_rows(base + 0.01 * epoch)),
     }
     forks = counting_forks(monkeypatch)
-    dev_chunks = -(-dev.n_utterances // trainer.SCORE_BATCH)
+    dev_chunks = -(-dev.n_utterances // SCORE_BATCH)
     for batch in (2, 3, 4, 5, 8):
         cfg = TrainConfig(epochs=2, batch_size=batch, seed=7, warmup_steps=8, dtype=dtype)
         for name, (cache, reload) in sources.items():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from multires import weighting
 from multires.cache import FeatureCache
 from multires.excitation import bottleneck_weights, init_excitation
 from multires.model import fresh_weights
@@ -57,7 +56,7 @@ def test_mean_weights_over_set_averages_and_chunks(monkeypatch):
         want = bottleneck_weights(stacks, p)[1].astype(np.float64).mean(axis=0)
         # the read size must not change a bit of the answer
         for read_size in (1, 3, 7, 64):
-            monkeypatch.setattr(weighting, "SCORE_BATCH", read_size)
+            monkeypatch.setattr("multires.cache.SCORE_BATCH", read_size)
             np.testing.assert_array_equal(mean_weights_over_set(cache, p), want)
 
 

@@ -25,8 +25,10 @@ With `--cpus` no revision is exported: the working tree runs the pipeline
 twice, once with every command pinned to one CPU (`os.sched_setaffinity` in
 the child before it starts) and once on all the CPUs this process may use,
 and the two runs are diffed the same way. Generation, extraction, scoring
-and each training step split their work over one process per CPU, so this checks
-that the bytes do not depend on the split. The training config's batch of
+(eval and each epoch's dev pass), the mean gate weights that
+`inspect-weights` and `prune` rank, and each training step split their
+work over one process per CPU, so this checks that the bytes do not
+depend on the split. The training config's batch of
 8 gives each of 2 CPUs a share of 4 rows, which it runs as two 2-row
 micro-shares, and its 14 rows leave a last batch of 6: a 3-row share
 each. Generation shares out bona fide/spoof pairs, and the eval split's
